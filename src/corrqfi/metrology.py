@@ -10,8 +10,18 @@ Hadamard-rotated basis, each taken with probability 1/2.  The computational
 basis alone carries no phase information, so the rotated half supplies it.
 This POVM is a pragmatic choice, not an optimal one: it cannot be expected
 to saturate the bound, only to respect it.  Note the rotated basis senses
-the phase only through cos(phi), so phi is identified up to sign within its
-period; the variance bound is unaffected.
+the phase only through cos(phi), so the likelihood is even,
+L(phi) = L(2 pi - phi), and its two maxima tie up to round-off.  Left to
+round-off, some trials land on the mirror branch and inflate the empirical
+variance by orders of magnitude, so ``mle_estimate`` folds the estimate of
+an even likelihood into the first half period.
+
+The probe density is a trigonometric polynomial in either parameter,
+rho(v) = A + B cos(w v) + C sin(w v) with w = 2 for theta and w = 1 for
+phi, and the channel and the Born rule are linear.  So three channel
+applications fix every outcome probability exactly,
+p_k(v) = a_k + b_k cos(w v) + c_k sin(w v), and the likelihood search never
+calls the channel again.
 """
 
 from __future__ import annotations
@@ -34,6 +44,8 @@ __all__ = [
     "interleaved_basis_model",
     "outcome_probabilities",
     "sample_outcomes",
+    "TrigLikelihood",
+    "likelihood_model",
     "mle_estimate",
     "cramer_rao_report",
 ]
@@ -45,9 +57,13 @@ _PROBABILITY_TOL = 1e-9
 # zero and the variance bound is reported as unbounded.
 _QFI_FLOOR = 1e-12
 
-# Natural period of each parameter: the probe density matrix is invariant
-# under theta -> theta + pi and phi -> phi + 2 pi.
-_PERIOD = {Param.THETA: math.pi, Param.PHI: 2.0 * math.pi}
+# Angular frequency w of each parameter in the probe density, so the
+# natural period 2 pi / w is pi for theta and 2 pi for phi.
+_FREQUENCY = {Param.THETA: 2.0, Param.PHI: 1.0}
+
+# A likelihood whose sine coefficients all lie below this is even in the
+# parameter: they are round-off around an exact zero.
+_EVEN_TOL = 1e-12
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -150,15 +166,26 @@ def interleaved_basis_model(n_qubits: int) -> MeasurementModel:
     return MeasurementModel(elements, labels)
 
 
-def outcome_probabilities(rho: np.ndarray, model: MeasurementModel) -> np.ndarray:
-    """Born probabilities Tr(rho E_k), validated and renormalized exactly."""
+def _born(rho: np.ndarray, model: MeasurementModel) -> np.ndarray:
+    """Raw Born probabilities Tr(rho E_k), before any validation."""
     if rho.shape[0] != model.dim:
         raise ValueError("state and measurement dimensions differ")
-    probs = np.array([np.trace(rho @ e).real for e in model.elements])
-    if abs(probs.sum() - 1.0) > _PROBABILITY_TOL:
-        raise ValueError(f"model probabilities sum to {probs.sum()}, not 1")
+    return np.array([np.trace(rho @ e).real for e in model.elements])
+
+
+def _normalized(probs: np.ndarray) -> np.ndarray:
+    """Check each row sums to 1, clip round-off negatives, renormalize."""
+    total = probs.sum(axis=-1, keepdims=True)
+    worst = total.flat[int(np.argmax(np.abs(total - 1.0)))]
+    if abs(worst - 1.0) > _PROBABILITY_TOL:
+        raise ValueError(f"model probabilities sum to {worst}, not 1")
     probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def outcome_probabilities(rho: np.ndarray, model: MeasurementModel) -> np.ndarray:
+    """Born probabilities Tr(rho E_k), validated and renormalized exactly."""
+    return _normalized(_born(rho, model))
 
 
 def sample_outcomes(
@@ -175,17 +202,54 @@ def sample_outcomes(
     return rng.multinomial(shots, probs)
 
 
-def _log_likelihood(
-    counts: np.ndarray,
-    model: MeasurementModel,
-    probe: ProbeSpec,
-    channel: ChannelSpec,
-    param: Param,
-    value: float,
-) -> float:
-    candidate = replace(probe, **{param.value: value})
-    probs = outcome_probabilities(apply_channel(density(candidate), channel), model)
-    return float(np.dot(counts, np.log(np.clip(probs, 1e-300, None))))
+@dataclass(frozen=True)
+class TrigLikelihood:
+    """Outcome probabilities p_k(v) = a_k + b_k cos(w v) + c_k sin(w v).
+
+    Exact for a probe parameter v pushed through a fixed channel and POVM;
+    ``probabilities`` validates, clips and renormalizes like
+    ``outcome_probabilities``.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    omega: float
+
+    @property
+    def period(self) -> float:
+        return 2.0 * math.pi / self.omega
+
+    @property
+    def even(self) -> bool:
+        """True when p(v) = p(-v), so v and period - v are indistinguishable."""
+        return float(np.max(np.abs(self.c))) <= _EVEN_TOL
+
+    def probabilities(self, values: np.ndarray | float) -> np.ndarray:
+        """Probabilities at each value: shape (..., outcomes)."""
+        wv = self.omega * np.asarray(values, dtype=float)[..., None]
+        return _normalized(self.a + self.b * np.cos(wv) + self.c * np.sin(wv))
+
+    def log_likelihood(self, counts: np.ndarray, values: np.ndarray | float) -> np.ndarray:
+        probs = self.probabilities(values)
+        return np.log(np.clip(probs, 1e-300, None)) @ counts
+
+
+def likelihood_model(
+    model: MeasurementModel, probe: ProbeSpec, channel: ChannelSpec, param: Param
+) -> TrigLikelihood:
+    """Fix the trigonometric coefficients from three channel applications.
+
+    At w v = 0, pi/2 and pi the probabilities are a + b, a + c and a - b.
+    """
+    param = Param(param)
+    omega = _FREQUENCY[param]
+    q0, q1, q2 = (
+        _born(apply_channel(density(replace(probe, **{param.value: wv / omega})), channel), model)
+        for wv in (0.0, math.pi / 2.0, math.pi)
+    )
+    a = (q0 + q2) / 2.0
+    return TrigLikelihood(a=a, b=(q0 - q2) / 2.0, c=q1 - a, omega=omega)
 
 
 def mle_estimate(
@@ -201,20 +265,20 @@ def mle_estimate(
     All other parameters are held at their true values in ``probe``.  The
     likelihood is scanned on a uniform grid over the parameter's natural
     period and the best cell is refined by one golden-section pass; the
-    procedure is deterministic.
+    procedure is deterministic.  When the likelihood is even in the
+    parameter, the estimate is folded into [0, period / 2].
     """
     counts = np.asarray(counts)
     if counts.sum() <= 0:
         raise ValueError("counts must contain at least one outcome")
-    param = Param(param)
-    period = _PERIOD[param]
+    likelihood = likelihood_model(model, probe, channel, param)
+    period = likelihood.period
     grid = np.linspace(0.0, period, grid_points, endpoint=False)
 
     def loglik(value: float) -> float:
-        return _log_likelihood(counts, model, probe, channel, param, value)
+        return float(likelihood.log_likelihood(counts, value))
 
-    scores = np.array([loglik(v) for v in grid])
-    best = int(np.argmax(scores))
+    best = int(np.argmax(likelihood.log_likelihood(counts, grid)))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid_points - 1)]
 
@@ -233,7 +297,10 @@ def mle_estimate(
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = loglik(d)
-    return (a + b) / 2.0
+    estimate = (a + b) / 2.0
+    if likelihood.even and estimate > period / 2.0:
+        estimate = period - estimate
+    return estimate
 
 
 def cramer_rao_report(

@@ -9,6 +9,7 @@ from corrqfi.channels import (
     joint_distribution,
     single_use_distribution,
 )
+from corrqfi.linalg import pauli
 from corrqfi.probes import Param, ProbeFamily, ProbeSpec, density, density_derivative
 
 SEED = 20250810
@@ -189,6 +190,32 @@ def test_derivative_commutes_with_channel():
             - apply_channel(density(ProbeSpec(**lo)), spec)
         ) / (2 * h)
         assert np.max(np.abs(fd - pushed)) <= 1e-8
+
+
+def string_sum(rho, kind, p, mu):
+    """Reference channel: sum_s p_s sigma_s rho sigma_s over joint_distribution."""
+    n = rho.shape[0].bit_length() - 1
+    out = np.zeros_like(rho)
+    for string, prob in joint_distribution(kind, p, mu, n).terms:
+        op = np.ones((1, 1), dtype=complex)
+        for i in string:
+            op = np.kron(op, pauli(i))
+        out += prob * (op @ rho @ op)
+    return out
+
+
+def test_apply_channel_matches_joint_distribution():
+    # The transfer-matrix recursion and the string enumeration share one
+    # Markov rule; non-Hermitian input checks the map, not just states.
+    rng = np.random.default_rng(SEED)
+    for n in range(1, 6):
+        for kind in ALL_KINDS:
+            for p in (0.0, 0.3, 0.75, 1.0):
+                for mu in (0.0, 0.4, 1.0):
+                    rho = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+                    got = apply_channel(rho, ChannelSpec(kind, p, mu))
+                    want = string_sum(rho, kind, p, mu)
+                    assert np.max(np.abs(got - want)) <= 1e-13, (n, kind, p, mu)
 
 
 def test_apply_channel_rejects_bad_dimension():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from corrqfi.metrology import (
     computational_basis_model,
     cramer_rao_report,
     interleaved_basis_model,
+    likelihood_model,
     mle_estimate,
     outcome_probabilities,
     sample_outcomes,
@@ -93,6 +96,35 @@ def test_mle_boundary_estimate():
     counts = sample_outcomes(apply_channel(density(probe), channel), model, 1000, seed=3)
     est = mle_estimate(counts, model, probe, channel, Param.THETA)
     assert est == pytest.approx(0.0, abs=1e-9)
+
+
+def test_likelihood_model_matches_channel_outputs():
+    rng = np.random.default_rng(SEED)
+    ewl = ProbeSpec(ProbeFamily.EWL, np.pi / 8, np.pi / 6, r=0.9, n_qubits=3)
+    for probe in (phi_plus(), ewl):
+        model = interleaved_basis_model(probe.n_qubits)
+        for kind in ChannelKind:
+            channel = ChannelSpec(kind, 0.3, 0.4)
+            for param in Param:
+                likelihood = likelihood_model(model, probe, channel, param)
+                # The rotated basis sees phi only through cos(phi).
+                assert likelihood.even == (param is Param.PHI)
+                values = rng.uniform(0.0, likelihood.period, 20)
+                for value, got in zip(values, likelihood.probabilities(values)):
+                    rho = apply_channel(density(replace(probe, **{param.value: value})), channel)
+                    want = outcome_probabilities(rho, model)
+                    assert np.max(np.abs(got - want)) <= 1e-12, (probe.family, kind, param)
+
+
+def test_phi_estimates_stay_on_the_true_branch():
+    # L(phi) = L(2 pi - phi) under the interleaved POVM; without the fold,
+    # round-off sent one of these trials to the mirror maximum near 11 pi / 6.
+    probe = phi_plus()
+    config = EstimationConfig(repetitions=10**4, trials=25, seed=SEED)
+    report = cramer_rao_report(
+        probe, ChannelSpec(ChannelKind.PHASE_FLIP, 0.3, 0.5), Param.PHI, config
+    )
+    assert np.all(np.abs(report.estimates - probe.phi) < np.pi / 2)
 
 
 def test_sample_outcomes_rejects_zero_shots():

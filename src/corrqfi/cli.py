@@ -115,6 +115,8 @@ def parse_angle(text: str) -> float:
         while peek() in _MUL | _DIV:
             op = advance()
             rhs = factor()
+            if op in _DIV and rhs == 0.0:
+                raise ValueError(f"division by zero in angle expression {text!r}")
             value = value * rhs if op in _MUL else value / rhs
         return value
 
@@ -265,9 +267,7 @@ def _require(opt: dict[str, object], name: str) -> object:
 _PROBE_FLAGS = ["family", "theta", "phi", "r", "n"]
 
 
-def _cmd_point(args: argparse.Namespace) -> int:
-    names = ["channel", *_PROBE_FLAGS, "p", "mu", "param", "method"]
-    opt = _resolve(args, names)
+def _cmd_point(opt: dict[str, object]) -> int:
     probe = _build_probe(opt)
     channel = ChannelSpec(_require(opt, "channel"), opt["p"], opt["mu"])
     records = run_point(probe, channel, opt["param"], opt["method"])
@@ -285,9 +285,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    names = ["channel", *_PROBE_FLAGS, "grid-p", "grid-mu", "param", "method", "out", "jobs"]
-    opt = _resolve(args, names)
+def _cmd_sweep(opt: dict[str, object]) -> int:
     config = SweepConfig(
         probe=_build_probe(opt),
         kind=_require(opt, "channel"),
@@ -302,9 +300,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    names = ["which", "points", "out", "jobs"]
-    opt = _resolve(args, names)
+def _cmd_figure(opt: dict[str, object]) -> int:
     out_dir = opt["out"] or "."
     csv_path, map_path = figure(
         int(opt["which"]), out_dir, points=opt["points"], jobs=opt["jobs"]
@@ -313,17 +309,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    names = ["samples", "seed", "tol", "fd-tol"]
-    opt = _resolve(args, names)
+def _cmd_check(opt: dict[str, object]) -> int:
     report = cross_check(opt["samples"], seed=opt["seed"], tol=opt["tol"], fd_tol=opt["fd-tol"])
     print(report.format())
     return 0 if report.passed else 1
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    names = ["channel", *_PROBE_FLAGS, "p", "mu", "param", "shots", "trials", "seed"]
-    opt = _resolve(args, names)
+def _cmd_estimate(opt: dict[str, object]) -> int:
     probe = _build_probe(opt)
     channel = ChannelSpec(_require(opt, "channel"), opt["p"], opt["mu"])
     params: tuple[Param, ...] = opt["param"]
@@ -335,9 +327,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_heatmap(args: argparse.Namespace) -> int:
-    names = ["csv", "value", "out"]
-    opt = _resolve(args, names)
+def _cmd_heatmap(opt: dict[str, object]) -> int:
     text = render_heatmap(str(_require(opt, "csv")), value_column=opt["value"])
     out = opt["out"]
     if out is None:
@@ -348,22 +338,30 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     return 0
 
 
+# name -> (handler, help, flags); the flags are also the config-file keys
 _COMMANDS = {
-    "point": (_cmd_point, "QFI at a single setting"),
-    "sweep": (_cmd_sweep, "QFI over a (p, mu) grid, written as CSV"),
-    "figure": (_cmd_figure, "emit reference-figure data (1-4)"),
-    "check": (_cmd_check, "closed vs numeric vs finite-difference consistency"),
-    "estimate": (_cmd_estimate, "Monte-Carlo Cramer-Rao compliance report"),
-    "heatmap": (_cmd_heatmap, "render a sweep CSV as a text heatmap"),
-}
-
-_COMMAND_FLAGS = {
-    "point": ["channel", *_PROBE_FLAGS, "p", "mu", "param", "method"],
-    "sweep": ["channel", *_PROBE_FLAGS, "grid-p", "grid-mu", "param", "method", "out", "jobs"],
-    "figure": ["which", "points", "out", "jobs"],
-    "check": ["samples", "seed", "tol", "fd-tol"],
-    "estimate": ["channel", *_PROBE_FLAGS, "p", "mu", "param", "shots", "trials", "seed"],
-    "heatmap": ["csv", "value", "out"],
+    "point": (
+        _cmd_point,
+        "QFI at a single setting",
+        ["channel", *_PROBE_FLAGS, "p", "mu", "param", "method"],
+    ),
+    "sweep": (
+        _cmd_sweep,
+        "QFI over a (p, mu) grid, written as CSV",
+        ["channel", *_PROBE_FLAGS, "grid-p", "grid-mu", "param", "method", "out", "jobs"],
+    ),
+    "figure": (_cmd_figure, "emit reference-figure data (1-4)", ["which", "points", "out", "jobs"]),
+    "check": (
+        _cmd_check,
+        "closed vs numeric vs finite-difference consistency",
+        ["samples", "seed", "tol", "fd-tol"],
+    ),
+    "estimate": (
+        _cmd_estimate,
+        "Monte-Carlo Cramer-Rao compliance report",
+        ["channel", *_PROBE_FLAGS, "p", "mu", "param", "shots", "trials", "seed"],
+    ),
+    "heatmap": (_cmd_heatmap, "render a sweep CSV as a text heatmap", ["csv", "value", "out"]),
 }
 
 
@@ -373,13 +371,12 @@ def main(argv: list[str] | None = None) -> int:
         description="Quantum Fisher information in classically correlated Pauli channels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        _add_options(p, _COMMAND_FLAGS[name])
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), flags)
     args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command][0]
+    handler, _, flags = _COMMANDS[args.command]
     try:
-        return handler(args)
+        return handler(_resolve(args, flags))
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,7 @@ import numpy as np
 
 from .channels import ChannelKind, ChannelSpec
 from .probes import Param
-from .qfi import SUPPORT_TOL, SpectralData, qfi_spectral
+from .qfi import SpectralData, qfi_spectral
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -139,9 +139,15 @@ def _outer_block(
     """
     s2 = np.sin(2.0 * theta)
     c2 = np.cos(2.0 * theta)
-    s4 = np.sin(4.0 * theta)
     u = sdiff * c2
-    zeros = np.zeros((2, 2), dtype=complex)
+    # The block depends on the parameter only through u, sin(2 theta) and
+    # the coherence coefficient kapbar; the parameter picks their rates and
+    # one chain rule does the rest.
+    if Param(param) is Param.THETA:
+        du, ds2, dkapbar = -2.0 * sdiff * s2, 2.0 * c2, 0.0
+    else:
+        du, ds2 = 0.0, 0.0
+        dkapbar = 1j * (d1 * np.exp(1j * phi) - d2 * np.exp(-1j * phi))
 
     if d1 + d2 <= DEGENERACY_TOL:
         # Coherence is identically zero: the block is diagonal for every
@@ -150,11 +156,8 @@ def _outer_block(
         if alpha <= DEGENERACY_TOL:
             raise DegenerateSpectrumError("block is proportional to the identity")
         lams = np.array([(ssum - alpha) / 2.0, (ssum + alpha) / 2.0])
-        if Param(param) is Param.THETA:
-            d = np.sign(u) * sdiff * s2
-            dlams = np.array([d, -d])
-        else:
-            dlams = np.zeros(2)
+        dalpha = np.sign(u) * du
+        dlams = np.array([-dalpha / 2.0, dalpha / 2.0])
         amps = np.zeros((2, 2), dtype=complex)
         if u > 0:  # smaller eigenvalue sits on |11>
             amps[1, 0] = 1.0
@@ -162,23 +165,24 @@ def _outer_block(
         else:
             amps[0, 0] = 1.0
             amps[1, 1] = 1.0
-        return lams, dlams, amps, zeros
+        return lams, dlams, amps, np.zeros((2, 2), dtype=complex)
 
     kapbar = d1 * np.exp(1j * phi) + d2 * np.exp(-1j * phi)  # rho41 coefficient
     g = abs(kapbar)
-    alpha = float(np.hypot(u, g * s2))
+    h = g * s2
+    alpha = float(np.hypot(u, h))
     if alpha <= DEGENERACY_TOL:
         raise DegenerateSpectrumError("spectral gap of the coherent block vanishes")
     if g <= DEGENERACY_TOL or abs(s2) <= DEGENERACY_TOL:
         raise DegenerateSpectrumError("eigenvector gauge is singular (normalizer -> 0)")
     phase = kapbar / g  # e^{i gamma}
 
-    # Stable splits of alpha -/+ u (avoids cancellation when g*s2 is small).
+    # Stable splits of alpha -/+ u (avoids cancellation when h is small).
     if u >= 0.0:
-        dminus = (g * s2) ** 2 / (alpha + u)
+        dminus = h**2 / (alpha + u)
         dplus = alpha + u
     else:
-        dplus = (g * s2) ** 2 / (alpha - u)
+        dplus = h**2 / (alpha - u)
         dminus = alpha - u
     beta1 = np.sqrt(2.0 * alpha * dminus)
     beta2 = np.sqrt(2.0 * alpha * dplus)
@@ -187,52 +191,33 @@ def _outer_block(
     amps = np.array(
         [
             [-np.conj(phase) * dminus / beta1, np.conj(phase) * dplus / beta2],
-            [g * s2 / beta1, g * s2 / beta2],
+            [h / beta1, h / beta2],
         ]
     )
 
-    if Param(param) is Param.THETA:
-        du = -2.0 * sdiff * s2
-        dalpha = s4 * (g * g - sdiff * sdiff) / alpha
-        dlams = np.array([-dalpha / 2.0, dalpha / 2.0])
-        dbeta1 = (2.0 * alpha * dalpha - (du * alpha + u * dalpha)) / beta1
-        dbeta2 = (2.0 * alpha * dalpha + (du * alpha + u * dalpha)) / beta2
-        dg1 = ((du - dalpha) * beta1 - (u - alpha) * dbeta1) / beta1**2
-        dg2 = ((du + dalpha) * beta2 - (u + alpha) * dbeta2) / beta2**2
-        damps = np.array(
+    shift = dkapbar * np.conj(phase)  # = G' + i G gamma'
+    dgamma = shift.imag / g
+    dh = shift.real * s2 + g * ds2
+    dalpha = (u * du + h * dh) / alpha
+    dlams = np.array([-dalpha / 2.0, dalpha / 2.0])
+    dbeta1 = (2.0 * alpha * dalpha - (du * alpha + u * dalpha)) / beta1
+    dbeta2 = (2.0 * alpha * dalpha + (du * alpha + u * dalpha)) / beta2
+    g1 = (u - alpha) / beta1
+    g2 = (u + alpha) / beta2
+    dg1 = ((du - dalpha) * beta1 - (u - alpha) * dbeta1) / beta1**2
+    dg2 = ((du + dalpha) * beta2 - (u + alpha) * dbeta2) / beta2**2
+    damps = np.array(
+        [
             [
-                [np.conj(phase) * dg1, np.conj(phase) * dg2],
-                [
-                    g * (2.0 * c2 * beta1 - s2 * dbeta1) / beta1**2,
-                    g * (2.0 * c2 * beta2 - s2 * dbeta2) / beta2**2,
-                ],
-            ]
-        )
-    else:
-        dkapbar = 1j * (d1 * np.exp(1j * phi) - d2 * np.exp(-1j * phi))
-        shift = dkapbar * np.conj(phase)  # = G' + i G gamma'
-        dg_dphi = shift.real
-        dgamma = shift.imag / g
-        dalpha = g * dg_dphi * s2 * s2 / alpha
-        dlams = np.array([-dalpha / 2.0, dalpha / 2.0])
-        dbeta1 = (2.0 * alpha - u) * dalpha / beta1
-        dbeta2 = (2.0 * alpha + u) * dalpha / beta2
-        g1 = (u - alpha) / beta1
-        g2 = (u + alpha) / beta2
-        dg1 = (-dalpha * beta1 - (u - alpha) * dbeta1) / beta1**2
-        dg2 = (dalpha * beta2 - (u + alpha) * dbeta2) / beta2**2
-        damps = np.array(
+                np.conj(phase) * (-1j * dgamma * g1 + dg1),
+                np.conj(phase) * (-1j * dgamma * g2 + dg2),
+            ],
             [
-                [
-                    np.conj(phase) * (-1j * dgamma * g1 + dg1),
-                    np.conj(phase) * (-1j * dgamma * g2 + dg2),
-                ],
-                [
-                    s2 * (dg_dphi * beta1 - g * dbeta1) / beta1**2,
-                    s2 * (dg_dphi * beta2 - g * dbeta2) / beta2**2,
-                ],
-            ]
-        )
+                (dh * beta1 - h * dbeta1) / beta1**2,
+                (dh * beta2 - h * dbeta2) / beta2**2,
+            ],
+        ]
+    )
     return lams, dlams, amps, damps
 
 
@@ -352,13 +337,7 @@ _SPECTRUM_BY_KIND = {
 }
 
 
-def closed_form_qfi(
-    channel: ChannelSpec,
-    theta: float,
-    phi: float,
-    param: Param,
-    support_tol: float = SUPPORT_TOL,
-) -> float:
+def closed_form_qfi(channel: ChannelSpec, theta: float, phi: float, param: Param) -> float:
     """QFI of the channel output for the Phi+ probe, fully analytic.
 
     Raises DegenerateSpectrumError where the gauge degenerates; callers are
@@ -366,4 +345,4 @@ def closed_form_qfi(
     """
     spectrum = _SPECTRUM_BY_KIND[ChannelKind(channel.kind)]
     data = spectrum(theta, phi, channel.p, channel.mu, Param(param))
-    return qfi_spectral(data, support_tol)
+    return qfi_spectral(data)

@@ -29,6 +29,7 @@ __all__ = [
 
 MAX_DIM = 64  # 2**6, the largest operator dimension supported
 HERMITICITY_TOL = 1e-12  # max |H - H^dag| element accepted by eigh
+MAX_SWEEPS = 60  # Jacobi sweep cap of eigh
 
 _PAULI = (
     np.array([[1, 0], [0, 1]], dtype=complex),
@@ -126,7 +127,7 @@ def _rotation(apq: complex, app: float, aqq: float) -> tuple[float, complex]:
     return c, t * c * phase
 
 
-def eigh(h: np.ndarray, max_sweeps: int = 60) -> EigenSystem:
+def eigh(h: np.ndarray) -> EigenSystem:
     """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
 
     One sweep visits every index pair once, following a round-robin order so
@@ -163,12 +164,12 @@ def eigh(h: np.ndarray, max_sweeps: int = 60) -> EigenSystem:
     skip = 0.01 * tol
     rounds = _round_robin_pairs(n)
 
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(MAX_SWEEPS + 1):
         if _max_offdiag(a) <= tol:
             break
-        if sweep == max_sweeps:
+        if sweep == MAX_SWEEPS:
             raise JacobiConvergenceError(
-                f"no convergence after {max_sweeps} sweeps (n={n})"
+                f"no convergence after {MAX_SWEEPS} sweeps (n={n})"
             )
         for pairs in rounds:
             ps: list[int] = []

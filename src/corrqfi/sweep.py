@@ -19,6 +19,7 @@ import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 import io
 import math
 import os
@@ -215,17 +216,6 @@ def run_point(
     return records
 
 
-def _eval_task(task: tuple) -> list[SweepRecord]:
-    """Worker entry point: rebuild specs from primitives and evaluate."""
-    family, theta, phi, r, n, kind, p, mu, params, method = task
-    probe = ProbeSpec(family=ProbeFamily(family), theta=theta, phi=phi, r=r, n_qubits=n)
-    channel = ChannelSpec(ChannelKind(kind), p, mu)
-    out: list[SweepRecord] = []
-    for param in params:
-        out.extend(evaluate_point(probe, channel, Param(param), Method(method)))
-    return out
-
-
 def run_sweep(config: SweepConfig, jobs: int | None = None) -> list[SweepRecord]:
     """Evaluate the full (p, mu) grid in canonical row order.
 
@@ -233,33 +223,21 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> list[SweepRecord]
     the points are farmed out to a process pool; rows are still assembled
     in canonical order, so output is independent of the worker count.
     """
-    probe = config.probe
-    method = config.method or default_method(probe, config.kind)
-    params = tuple(p.value for p in config.params)
-    tasks = [
-        (
-            probe.family.value,
-            probe.theta,
-            probe.phi,
-            probe.r,
-            probe.n_qubits,
-            config.kind.value,
-            float(p),
-            float(mu),
-            params,
-            method.value,
-        )
+    method = config.method or default_method(config.probe, config.kind)
+    evaluate = partial(run_point, config.probe, params=config.params, method=method)
+    channels = [
+        ChannelSpec(config.kind, float(p), float(mu))
         for p in _grid(*config.p_grid)
         for mu in _grid(*config.mu_grid)
     ]
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (jobs * 8))
+    if jobs > 1 and len(channels) > 1:
+        chunk = max(1, len(channels) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_eval_task, tasks, chunksize=chunk))
+            chunks = list(pool.map(evaluate, channels, chunksize=chunk))
     else:
-        chunks = [_eval_task(t) for t in tasks]
+        chunks = [evaluate(c) for c in channels]
     records = [rec for chunk in chunks for rec in chunk]
     if config.out is not None:
         write_csv(records, config.out)

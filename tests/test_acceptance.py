@@ -219,8 +219,12 @@ def test_criterion_10_cramer_rao_compliance():
     elapsed = time.perf_counter() - start
     slack = 1.0 - 3.0 * np.sqrt(2.0 / 199.0)
     floor = slack / (config.repetitions * report.qfi)
+    # The variance floor alone cannot see estimates on the mirror branch
+    # 2 pi - phi; they inflate the variance, so check each trial's branch.
+    off_branch = int(np.sum(np.abs(report.estimates - PHI) >= np.pi / 2))
     _report(
-        report.empirical_variance >= floor and elapsed < 60.0,
+        report.empirical_variance >= floor and off_branch == 0 and elapsed < 60.0,
         f"criterion 10: MLE variance {report.empirical_variance:.3e} >= "
-        f"{floor:.3e} (slack-adjusted bound; F={report.qfi:.4f}, {elapsed:.1f} s)",
+        f"{floor:.3e} (slack-adjusted bound; F={report.qfi:.4f}, {elapsed:.1f} s), "
+        f"{off_branch} of {config.trials} estimates off the true branch",
     )

@@ -18,7 +18,7 @@ def test_parse_angle_literals():
 
 
 def test_parse_angle_rejects_garbage():
-    for bad in ("pie", "1 +", "(pi", "pi pi", "2**3"):
+    for bad in ("pie", "1 +", "(pi", "pi pi", "2**3", "pi/0"):
         with pytest.raises(ValueError):
             parse_angle(bad)
 

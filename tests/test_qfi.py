@@ -119,6 +119,22 @@ def test_spectral_diagonal_family_is_classical_fisher():
     assert qfi_spectral(data) == pytest.approx(expected, abs=1e-15)
 
 
+def test_spectral_and_sld_share_the_support_cut():
+    # 2 lam lies above SUPPORT_TOL while lam alone does not: both routes must
+    # keep the classical term dlam^2 / lam.
+    lam, dlam = 0.75e-12, 1e-7
+    data = SpectralData(
+        eigenvalues=np.array([lam, 1.0 - lam]),
+        eigenvectors=np.eye(2, dtype=complex),
+        d_eigenvalues=np.array([dlam, -dlam]),
+        d_eigenvectors=np.zeros((2, 2), dtype=complex),
+        pure_term_qfi=np.zeros(2),
+    )
+    rho = np.diag([lam, 1.0 - lam])
+    d_rho = np.diag([dlam, -dlam])
+    assert qfi_spectral(data) == pytest.approx(qfi_sld(rho, d_rho), abs=1e-15)
+
+
 def test_spectral_matches_sld_on_analytic_data():
     theta, phi, p, mu = np.pi / 8, np.pi / 6, 0.3, 0.5
     data = depolarizing_spectrum(theta, phi, p, mu, Param.THETA)

@@ -2,10 +2,11 @@
 
 The package provides two independent routes to the QFI of a probe state
 pushed through a classically correlated Pauli channel: a numeric route
-(channel application + symmetric-logarithmic-derivative formula in the
-state's eigenbasis) and an analytic route (closed-form output spectra fed
-into the spectral QFI formula), together with a Monte-Carlo Cramer-Rao
-compliance check and a sweep/figure CLI.
+(channel application and a Jacobi eigensystem of the output) and an
+analytic route for the two-qubit phi+ probe (closed-form output state and
+2x2 block eigensystems).  Both end in the same symmetric-logarithmic-
+derivative sum.  Around them sit a Monte-Carlo Cramer-Rao compliance check
+and a sweep/figure CLI.
 """
 
 from .channels import (
@@ -18,15 +19,11 @@ from .channels import (
     single_use_distribution,
 )
 from .closed_form import (
-    DegenerateSpectrumError,
-    bitflip_spectrum,
     closed_form_qfi,
     depolarizing_coefficients,
-    depolarizing_spectrum,
     flip_coefficients,
     output_density,
     phase_flip_weight,
-    phaseflip_spectrum,
 )
 from .linalg import CapacityError, EigenSystem, JacobiConvergenceError, eigh, kron, kron_all, pauli
 from .metrology import (
@@ -49,13 +46,11 @@ from .probes import (
     density_derivative,
 )
 from .qfi import (
-    SpectralData,
     build_sld,
     cramer_rao_bound,
     qfi_numeric,
     qfi_numeric_fd,
     qfi_sld,
-    qfi_spectral,
 )
 from .sweep import (
     CheckReport,
@@ -80,15 +75,11 @@ __all__ = [
     "conditional_probability",
     "joint_distribution",
     "single_use_distribution",
-    "DegenerateSpectrumError",
-    "bitflip_spectrum",
     "closed_form_qfi",
     "depolarizing_coefficients",
-    "depolarizing_spectrum",
     "flip_coefficients",
     "output_density",
     "phase_flip_weight",
-    "phaseflip_spectrum",
     "CapacityError",
     "EigenSystem",
     "JacobiConvergenceError",
@@ -111,13 +102,11 @@ __all__ = [
     "bell_state_vector",
     "density",
     "density_derivative",
-    "SpectralData",
     "build_sld",
     "cramer_rao_bound",
     "qfi_numeric",
     "qfi_numeric_fd",
     "qfi_sld",
-    "qfi_spectral",
     "CheckReport",
     "Method",
     "SweepConfig",

@@ -197,7 +197,7 @@ _HELP = {
     "seed": "RNG seed",
     "jobs": "worker processes for grid sweeps (default: all cores)",
     "which": "figure number: 1 | 2 | 3 | 4",
-    "points": "grid points per axis (default 101 for figures 1-3, 21 for 4)",
+    "points": "grid points per axis, at least 2 (default 101 for figures 1-3, 21 for 4)",
     "samples": "number of random tuples to draw",
     "tol": "abort threshold on |closed - numeric|",
     "fd-tol": "abort threshold on the finite-difference relative deviation",

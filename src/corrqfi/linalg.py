@@ -5,7 +5,9 @@ are capped at 64 (six qubits): this package targets exactness at desk scale,
 not scalability.  The Hermitian eigensolver is a cyclic Jacobi iteration,
 chosen over LAPACK because the matrices are tiny and Jacobi retains high
 relative accuracy for the near-zero eigenvalues that the Fisher-information
-support logic depends on.
+support logic depends on.  Just past the phase flip's theta = pi/2, where
+F_theta = 4 exactly, Jacobi keeps the numeric route within 4e-15 of 4 while
+numpy's LAPACK ``eigh`` misses by up to 9e-6 (``tests/test_qfi.py``).
 """
 
 from __future__ import annotations

@@ -1,32 +1,27 @@
 """Quantum Fisher information from a parameterized density matrix.
 
-Two routes are provided and kept deliberately independent:
+Every route ends in the symmetric-logarithmic-derivative (SLD) sum over an
+eigensystem (lam_i, |i>) of the state,
 
-* ``qfi_sld`` evaluates the symmetric-logarithmic-derivative closed form in
-  the eigenbasis of the state,
+    F = sum_{i,j: lam_i + lam_j > SUPPORT_TOL} 2 |<i| d_rho |j>|^2 / (lam_i + lam_j).
 
-      F = sum_{i,j: lam_i + lam_j > SUPPORT_TOL} 2 |<i| d_rho |j>|^2 / (lam_i + lam_j),
-
-  which is the main numerical path (it needs no eigenvector derivatives and
-  is therefore safe under spectral degeneracies).
-
-* ``qfi_spectral`` assembles the spectral decomposition formula
-
-      F = sum_i lam_i'^2 / lam_i + sum_i lam_i F_i
-          - sum_{i != j} 8 lam_i lam_j |<psi_i'|psi_j>|^2 / (lam_i + lam_j)
-
-  from externally supplied eigen-data with derivatives; the closed-form
-  module feeds it analytic spectra so the two routes cross-check each other.
+It needs no eigenvector derivatives, so it is safe under spectral
+degeneracies and independent of the eigenvectors' phases.  ``qfi_sld``
+feeds it the Jacobi ``eigh`` of a dense state; ``qfi_numeric`` pushes the
+probe and its exact derivative through ``apply_channel`` first.  The
+closed-form module feeds the same sum (``_qfi_from_eigensystem``) its
+analytic eigensystems, so the two routes share the sum and its support cut
+and nothing else.
 
 Only the support set of the state contributes.  One helper, ``_support``,
 makes that cut for every route: an eigenvalue pair (i, j) counts when
-lam_i + lam_j > SUPPORT_TOL, and the classical term lam_i'^2 / lam_i is the
-diagonal pair (i, i), kept when 2 lam_i > SUPPORT_TOL.
+lam_i + lam_j > SUPPORT_TOL, so the classical term of eigenvalue i is kept
+when 2 lam_i > SUPPORT_TOL.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -37,10 +32,8 @@ from .probes import Param, ProbeSpec, density, density_derivative
 
 __all__ = [
     "SUPPORT_TOL",
-    "SpectralData",
     "qfi_sld",
     "build_sld",
-    "qfi_spectral",
     "qfi_numeric",
     "qfi_numeric_fd",
     "cramer_rao_bound",
@@ -53,22 +46,6 @@ SUPPORT_TOL = 1e-12
 
 # Central-difference step of the finite-difference oracle.
 FD_STEP = 1e-5
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigen-decomposition of a state plus its parameter derivatives.
-
-    ``eigenvectors`` holds |psi_i> as columns and ``d_eigenvectors`` their
-    derivatives; ``pure_term_qfi`` is the per-eigenstate pure contribution
-    F_i = 4 (<psi_i'|psi_i'> - |<psi_i'|psi_i>|^2).
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    d_eigenvalues: np.ndarray
-    d_eigenvectors: np.ndarray
-    pure_term_qfi: np.ndarray
 
 
 def _require_hermitian(m: np.ndarray, name: str) -> np.ndarray:
@@ -115,25 +92,6 @@ def build_sld(rho: np.ndarray, d_rho: np.ndarray) -> np.ndarray:
     denom, inside = _support(w)
     safe = np.where(inside, denom, np.inf)  # excluded pairs -> 0
     return v @ (2.0 * t / safe) @ v.conj().T
-
-
-def qfi_spectral(data: SpectralData) -> float:
-    """QFI assembled from eigen-data with derivatives (spectral route)."""
-    w = np.asarray(data.eigenvalues, dtype=float)
-    dw = np.asarray(data.d_eigenvalues, dtype=float)
-    v = np.asarray(data.eigenvectors, dtype=complex)
-    dv = np.asarray(data.d_eigenvectors, dtype=complex)
-    fi = np.asarray(data.pure_term_qfi, dtype=float)
-
-    denom, inside = _support(w)
-    on = np.diag(inside)
-    classical = np.sum(dw[on] ** 2 / w[on])
-    mixture = float(np.dot(w, fi))
-    overlaps = dv.conj().T @ v  # overlaps[i, j] = <psi_i'|psi_j>
-    off = inside & ~np.eye(w.size, dtype=bool)
-    weights = 8.0 * w[:, None] * w[None, :]
-    cross = np.sum(weights[off] / denom[off] * np.abs(overlaps[off]) ** 2)
-    return float(classical + mixture - cross)
 
 
 def qfi_numeric(probe: ProbeSpec, channel: ChannelSpec, param: Param) -> float:

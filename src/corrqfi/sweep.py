@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import ChannelKind, ChannelSpec
-from .closed_form import DegenerateSpectrumError, closed_form_qfi
+from .closed_form import closed_form_qfi
 from .probes import Param, ProbeFamily, ProbeSpec
 from .qfi import qfi_numeric, qfi_numeric_fd
 
@@ -152,14 +152,6 @@ def default_method(probe: ProbeSpec, kind: ChannelKind) -> Method:
     return Method.BOTH if closed_form_available(probe, kind) else Method.SLD
 
 
-def _closed_route_qfi(probe: ProbeSpec, channel: ChannelSpec, param: Param) -> float:
-    """Closed-form value with the documented fallback at degenerate points."""
-    try:
-        return closed_form_qfi(channel, probe.theta, probe.phi, param)
-    except DegenerateSpectrumError:
-        return qfi_numeric(probe, channel, param)
-
-
 def evaluate_point(
     probe: ProbeSpec,
     channel: ChannelSpec,
@@ -177,7 +169,7 @@ def evaluate_point(
     if method in (Method.SLD, Method.BOTH):
         values["sld"] = qfi_numeric(probe, channel, param)
     if method in (Method.CLOSED, Method.BOTH):
-        values["closed"] = _closed_route_qfi(probe, channel, param)
+        values["closed"] = closed_form_qfi(channel, probe.theta, probe.phi, param)
     if method is Method.BOTH:
         gap = abs(values["sld"] - values["closed"])
         if gap > _BOTH_TOL:
@@ -273,7 +265,6 @@ class CheckReport:
     worst_closed: tuple
     max_fd_rel: float
     worst_fd: tuple
-    degenerate_fallbacks: int
     passed: bool
 
     def format(self) -> str:
@@ -287,7 +278,6 @@ class CheckReport:
                 f"analytic vs finite diff: max rel dev = {self.max_fd_rel:.6e}"
                 f"  (tol {self.fd_tol:.6e})",
                 f"  worst tuple          : {self.worst_fd}",
-                f"degenerate fallbacks   : {self.degenerate_fallbacks}",
                 f"result                 : {status}",
             ]
         )
@@ -314,7 +304,6 @@ def cross_check(
     worst_closed: tuple = ()
     max_fd = 0.0
     worst_fd: tuple = ()
-    fallbacks = 0
     for _ in range(samples):
         kind = kinds[rng.integers(len(kinds))]
         p = float(rng.random())
@@ -325,16 +314,10 @@ def cross_check(
         probe = ProbeSpec(ProbeFamily.PHI_PLUS, theta, phi)
         channel = ChannelSpec(kind, p, mu)
         numeric = qfi_numeric(probe, channel, param)
-        try:
-            closed = closed_form_qfi(channel, theta, phi, param)
-        except DegenerateSpectrumError:
-            fallbacks += 1
-            closed = None
-        if closed is not None:
-            dev = abs(closed - numeric)
-            if dev > max_closed:
-                max_closed = dev
-                worst_closed = (kind.value, round(p, 6), round(mu, 6), param.value)
+        dev = abs(closed_form_qfi(channel, theta, phi, param) - numeric)
+        if dev > max_closed:
+            max_closed = dev
+            worst_closed = (kind.value, round(p, 6), round(mu, 6), param.value)
         fd = qfi_numeric_fd(probe, channel, param)
         rel = abs(fd - numeric) / max(1.0, abs(numeric), abs(fd))
         if rel > max_fd:
@@ -350,7 +333,6 @@ def cross_check(
         worst_closed=worst_closed,
         max_fd_rel=max_fd,
         worst_fd=worst_fd,
-        degenerate_fallbacks=fallbacks,
         passed=passed,
     )
 
@@ -373,13 +355,15 @@ def figure(
     p = 0.3 for the EWL probe (r = 0.9, recorded in the CSV) with 2..5
     qubits under the depolarizing, bit flip, and phase flip channels.
     """
+    if points is not None and points < 2:
+        raise ValueError(f"figure grids need at least 2 points per axis, got {points}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"fig{which}.csv"
     map_path = out_dir / f"fig{which}_heatmap.txt"
     records: list[SweepRecord] = []
     if which in (1, 2, 3):
-        count = points or 101
+        count = 101 if points is None else points
         for theta, phi in _FIGURE_ANGLES:
             config = SweepConfig(
                 probe=ProbeSpec(ProbeFamily.PHI_PLUS, theta, phi),
@@ -390,7 +374,7 @@ def figure(
             )
             records.extend(run_sweep(config, jobs=jobs))
     elif which == 4:
-        count = points or 21
+        count = 21 if points is None else points
         theta, phi = _FIGURE_ANGLES[0]
         params = (Param.THETA, Param.PHI)
         for kind in (ChannelKind.DEPOLARIZING, ChannelKind.BIT_FLIP, ChannelKind.PHASE_FLIP):

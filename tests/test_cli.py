@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import pytest
 
@@ -38,8 +39,10 @@ def test_point_command(capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    lines = [l for l in out.splitlines() if "qfi=4" in l]
-    assert len(lines) == 2
+    values = [float(m) for m in re.findall(r"qfi=(\S+)", out)]
+    assert len(values) == 2
+    for value in values:
+        assert abs(value - 4.0) <= 1e-12
     assert "|sld - closed|" in out
 
 
@@ -145,6 +148,15 @@ def test_figure_command(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "fig3.csv").exists()
     assert (tmp_path / "fig3_heatmap.txt").exists()
+
+
+def test_figure_rejects_too_few_points(tmp_path, capsys):
+    for which in ("3", "4"):
+        for points in ("0", "1"):
+            code = main(["figure", "--which", which, "--points", points, "--out", str(tmp_path)])
+            assert code == 2
+            assert "at least 2 points" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_flag_value(capsys):

@@ -2,31 +2,18 @@ import numpy as np
 import pytest
 
 from corrqfi.channels import ChannelKind, ChannelSpec, apply_channel
-from corrqfi.closed_form import (
-    DegenerateSpectrumError,
-    bitflip_spectrum,
-    depolarizing_spectrum,
-    phaseflip_spectrum,
-)
+from corrqfi.closed_form import closed_form_qfi
 from corrqfi.probes import Param, ProbeFamily, ProbeSpec, density, density_derivative
 from corrqfi.qfi import (
-    SpectralData,
     _qfi_from_eigensystem,
     build_sld,
     cramer_rao_bound,
     qfi_numeric,
     qfi_numeric_fd,
     qfi_sld,
-    qfi_spectral,
 )
 
 SEED = 20250810
-
-SPECTRA = {
-    ChannelKind.DEPOLARIZING: depolarizing_spectrum,
-    ChannelKind.BIT_FLIP: bitflip_spectrum,
-    ChannelKind.PHASE_FLIP: phaseflip_spectrum,
-}
 
 
 def phi_plus(theta=np.pi / 8, phi=np.pi / 6):
@@ -89,83 +76,64 @@ def test_sld_pure_state_reduction():
 
 
 def test_spectral_rank_one_reduces_to_pure_term():
-    v = np.zeros((2, 2), dtype=complex)
-    v[0, 0] = 1.0
-    v[1, 1] = 1.0
-    dv = np.zeros((2, 2), dtype=complex)
-    dv[1, 0] = 0.5j  # d|psi_1> orthogonal to |psi_1>
+    # rho = |0><0| with d|psi> = 0.5i |1>: F = 4 <psi'|psi'> = 1
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    d_rho = np.array([[0.0, -0.5j], [0.5j, 0.0]])
     pure = 4 * (0.25 - 0.0)
-    data = SpectralData(
-        eigenvalues=np.array([1.0, 0.0]),
-        eigenvectors=v,
-        d_eigenvalues=np.zeros(2),
-        d_eigenvectors=dv,
-        pure_term_qfi=np.array([pure, 0.0]),
-    )
-    assert qfi_spectral(data) == pytest.approx(pure, abs=1e-15)
+    assert qfi_sld(rho, d_rho) == pytest.approx(pure, abs=1e-15)
 
 
 def test_spectral_diagonal_family_is_classical_fisher():
     lams = np.array([0.2, 0.3, 0.5])
     dlams = np.array([0.04, -0.1, 0.06])
-    data = SpectralData(
-        eigenvalues=lams,
-        eigenvectors=np.eye(3, dtype=complex),
-        d_eigenvalues=dlams,
-        d_eigenvectors=np.zeros((3, 3), dtype=complex),
-        pure_term_qfi=np.zeros(3),
-    )
     expected = np.sum(dlams**2 / lams)
-    assert qfi_spectral(data) == pytest.approx(expected, abs=1e-15)
+    assert qfi_sld(np.diag(lams), np.diag(dlams)) == pytest.approx(expected, abs=1e-15)
 
 
 def test_spectral_and_sld_share_the_support_cut():
-    # 2 lam lies above SUPPORT_TOL while lam alone does not: both routes must
-    # keep the classical term dlam^2 / lam.
+    # 2 lam lies above SUPPORT_TOL while lam alone does not: the classical
+    # term dlam^2 / lam must count
     lam, dlam = 0.75e-12, 1e-7
-    data = SpectralData(
-        eigenvalues=np.array([lam, 1.0 - lam]),
-        eigenvectors=np.eye(2, dtype=complex),
-        d_eigenvalues=np.array([dlam, -dlam]),
-        d_eigenvectors=np.zeros((2, 2), dtype=complex),
-        pure_term_qfi=np.zeros(2),
-    )
     rho = np.diag([lam, 1.0 - lam])
     d_rho = np.diag([dlam, -dlam])
-    assert qfi_spectral(data) == pytest.approx(qfi_sld(rho, d_rho), abs=1e-15)
+    expected = dlam**2 / lam + dlam**2 / (1.0 - lam)
+    assert qfi_sld(rho, d_rho) == pytest.approx(expected, rel=1e-14)
+    # the same cut on both routes: a fully dephased output whose |11>
+    # population is 0.75e-12 keeps its classical term, so F_theta = 4
+    theta = float(np.arcsin(np.sqrt(lam)))
+    channel = ChannelSpec(ChannelKind.PHASE_FLIP, 0.5, 0.0)
+    closed = closed_form_qfi(channel, theta, 0.3, Param.THETA)
+    numeric = qfi_numeric(phi_plus(theta, 0.3), channel, Param.THETA)
+    assert closed == pytest.approx(4.0, abs=1e-12)
+    assert numeric == pytest.approx(4.0, abs=1e-12)
 
 
 def test_spectral_matches_sld_on_analytic_data():
     theta, phi, p, mu = np.pi / 8, np.pi / 6, 0.3, 0.5
-    data = depolarizing_spectrum(theta, phi, p, mu, Param.THETA)
     spec = phi_plus(theta, phi)
     channel = ChannelSpec(ChannelKind.DEPOLARIZING, p, mu)
     rho = apply_channel(density(spec), channel)
     d_rho = apply_channel(density_derivative(spec, Param.THETA), channel)
-    assert qfi_spectral(data) == pytest.approx(qfi_sld(rho, d_rho), abs=1e-7)
+    closed = closed_form_qfi(channel, theta, phi, Param.THETA)
+    assert closed == pytest.approx(qfi_sld(rho, d_rho), abs=1e-12)
 
 
 def test_oracle_equivalence_500_tuples():
-    # qfi_sld vs qfi_spectral wherever the analytic spectral path exists
+    # qfi_sld on the channel output vs the closed route, at every draw
     rng = np.random.default_rng(SEED)
-    kinds = list(SPECTRA)
-    done = 0
-    while done < 500:
+    kinds = list(ChannelKind)
+    for _ in range(500):
         kind = kinds[rng.integers(len(kinds))]
         p, mu = float(rng.random()), float(rng.random())
         theta = float(rng.uniform(0.0, np.pi / 2))
         phi = float(rng.uniform(0.0, 2 * np.pi))
         param = Param.THETA if rng.integers(2) == 0 else Param.PHI
-        try:
-            data = SPECTRA[kind](theta, phi, p, mu, param)
-        except DegenerateSpectrumError:
-            continue
         spec = phi_plus(theta, phi)
         channel = ChannelSpec(kind, p, mu)
         rho = apply_channel(density(spec), channel)
         d_rho = apply_channel(density_derivative(spec, param), channel)
-        assert qfi_spectral(data) == pytest.approx(qfi_sld(rho, d_rho), abs=1e-7)
-        done += 1
+        closed = closed_form_qfi(channel, theta, phi, param)
+        assert closed == pytest.approx(qfi_sld(rho, d_rho), abs=1e-12)
 
 
 def test_gauge_invariance_of_sld_formula():
@@ -188,6 +156,19 @@ def test_phase_flip_theta_invariance():
         for mu in (0.0, 0.5, 1.0):
             f = qfi_numeric(phi_plus(), ChannelSpec(ChannelKind.PHASE_FLIP, p, mu), Param.THETA)
             assert f == pytest.approx(4.0, abs=1e-10)
+
+
+def test_jacobi_keeps_phase_flip_theta_exact_near_pi_over_2():
+    # A phase flip leaves F_theta = 4 at every setting.  Just past
+    # theta = pi/2 the small eigenvalue of the {|0..0>, |1..1>} block is
+    # ~1e-8..1e-10 and its term is of order one, so it is needed to full
+    # relative accuracy: Jacobi delivers that; LAPACK's eigh misses by up to 9e-6.
+    for family, n in ((ProbeFamily.PHI_PLUS, 2), (ProbeFamily.EWL, 3), (ProbeFamily.EWL, 4)):
+        for p, mu in ((0.75, 0.5), (0.3, 0.5)):
+            channel = ChannelSpec(ChannelKind.PHASE_FLIP, p, mu)
+            for offset in (1e-4, 1e-5):
+                probe = ProbeSpec(family, np.pi / 2 + offset, np.pi / 6, r=1.0, n_qubits=n)
+                assert qfi_numeric(probe, channel, Param.THETA) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_phase_flip_phi_maximum_at_full_correlation():

@@ -56,7 +56,7 @@ def test_point_critical_depolarizing_phi():
     records = run_point(
         phi_plus(), ChannelSpec(ChannelKind.DEPOLARIZING, 0.75, 0.0), (Param.PHI,), Method.BOTH
     )
-    # closed route falls back to the numeric value at the degenerate point
+    # the fully mixed output carries no information on either route
     for rec in records:
         assert rec.qfi == pytest.approx(0.0, abs=1e-9)
 

@@ -14,7 +14,6 @@ from .channels import (
     ChannelSpec,
     JointDistribution,
     apply_channel,
-    conditional_probability,
     joint_distribution,
     single_use_distribution,
 )
@@ -25,17 +24,13 @@ from .closed_form import (
     output_density,
     phase_flip_weight,
 )
-from .linalg import CapacityError, EigenSystem, JacobiConvergenceError, eigh, kron, kron_all, pauli
+from .linalg import EigenSystem, JacobiConvergenceError, eigh, pauli
 from .metrology import (
     EstimationConfig,
     EstimationReport,
-    MeasurementModel,
-    computational_basis_model,
     cramer_rao_report,
-    interleaved_basis_model,
     mle_estimate,
     outcome_probabilities,
-    sample_outcomes,
 )
 from .probes import (
     Param,
@@ -72,7 +67,6 @@ __all__ = [
     "ChannelSpec",
     "JointDistribution",
     "apply_channel",
-    "conditional_probability",
     "joint_distribution",
     "single_use_distribution",
     "closed_form_qfi",
@@ -80,22 +74,15 @@ __all__ = [
     "flip_coefficients",
     "output_density",
     "phase_flip_weight",
-    "CapacityError",
     "EigenSystem",
     "JacobiConvergenceError",
     "eigh",
-    "kron",
-    "kron_all",
     "pauli",
     "EstimationConfig",
     "EstimationReport",
-    "MeasurementModel",
-    "computational_basis_model",
     "cramer_rao_report",
-    "interleaved_basis_model",
     "mle_estimate",
     "outcome_probabilities",
-    "sample_outcomes",
     "Param",
     "ProbeFamily",
     "ProbeSpec",

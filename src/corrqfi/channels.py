@@ -43,7 +43,6 @@ __all__ = [
     "ChannelSpec",
     "JointDistribution",
     "single_use_distribution",
-    "conditional_probability",
     "transfer_matrix",
     "joint_distribution",
     "apply_channel",
@@ -116,15 +115,6 @@ def transfer_matrix(kind: ChannelKind, p: float, mu: float) -> np.ndarray:
     mu = _check_unit_interval(mu, "mu")
     base = single_use_distribution(kind, p)
     return (1.0 - mu) * base[:, None] + mu * np.eye(4)
-
-
-def conditional_probability(
-    kind: ChannelKind, p: float, mu: float, i: int, j: int
-) -> float:
-    """Markov conditional p(i | previous j) = (1 - mu) p_i + mu delta_ij."""
-    if i not in (0, 1, 2, 3) or j not in (0, 1, 2, 3):
-        raise ValueError("Pauli indices must be in 0..3")
-    return float(transfer_matrix(kind, p, mu)[i, j])
 
 
 def joint_distribution(

@@ -152,59 +152,47 @@ def _parse_params(text: str) -> tuple[Param, ...]:
 # option registry: shared definitions + config-file merging
 # ---------------------------------------------------------------------------
 
-# name -> (parser, default); parser turns the flag/config string into a value
+# name -> (parser, default, help); parser turns the flag/config string into a value
 _OPTIONS = {
-    "channel": (ChannelKind, None),
-    "family": (ProbeFamily, ProbeFamily.PHI_PLUS),
-    "theta": (parse_angle, math.pi / 8),
-    "phi": (parse_angle, math.pi / 6),
-    "r": (float, None),
-    "n": (int, 2),
-    "p": (float, 0.3),
-    "mu": (float, 0.0),
-    "param": (_parse_params, (Param.THETA, Param.PHI)),
-    "method": (Method, None),
-    "grid-p": (_parse_grid, (0.0, 1.0, 101)),
-    "grid-mu": (_parse_grid, (0.0, 1.0, 101)),
-    "out": (str, None),
-    "seed": (int, 0),
-    "jobs": (int, None),
-    "which": (int, 1),
-    "points": (int, None),
-    "samples": (int, 1000),
-    "tol": (float, 1e-6),
-    "fd-tol": (float, 1e-5),
-    "shots": (int, 10000),
-    "trials": (int, 200),
-    "csv": (str, None),
-    "value": (str, "qfi"),
-}
-
-_HELP = {
-    "channel": "channel kind: depolarizing | bitflip | bitphaseflip | phaseflip",
-    "family": "probe family: phi+ | phi- | psi+ | psi- | ewl (default phi+)",
-    "theta": "amplitude angle in radians; expressions like pi/8 accepted",
-    "phi": "relative phase in radians; expressions accepted",
-    "r": "EWL mixing ratio in [0,1] (default 0.9 for ewl, ignored otherwise)",
-    "n": "number of qubits (EWL only; Bell-type probes are two-qubit)",
-    "p": "decoherence strength in [0,1]",
-    "mu": "correlation strength in [0,1]",
-    "param": "parameter(s) to estimate: theta, phi, or theta,phi",
-    "method": "sld | closed | both (default: both where closed forms exist)",
-    "grid-p": "p grid as start:stop:count (endpoints inclusive)",
-    "grid-mu": "mu grid as start:stop:count (endpoints inclusive)",
-    "out": "output path (CSV, heatmap text, or figure directory)",
-    "seed": "RNG seed",
-    "jobs": "worker processes for grid sweeps (default: all cores)",
-    "which": "figure number: 1 | 2 | 3 | 4",
-    "points": "grid points per axis, at least 2 (default 101 for figures 1-3, 21 for 4)",
-    "samples": "number of random tuples to draw",
-    "tol": "abort threshold on |closed - numeric|",
-    "fd-tol": "abort threshold on the finite-difference relative deviation",
-    "shots": "measurement repetitions M per trial",
-    "trials": "independent estimation trials",
-    "csv": "input CSV produced by the sweep or figure subcommands",
-    "value": "CSV column to render (default qfi)",
+    "channel": (
+        ChannelKind, None,
+        "channel kind: depolarizing | bitflip | bitphaseflip | phaseflip",
+    ),
+    "family": (
+        ProbeFamily, ProbeFamily.PHI_PLUS,
+        "probe family: phi+ | phi- | psi+ | psi- | ewl (default phi+)",
+    ),
+    "theta": (
+        parse_angle, math.pi / 8,
+        "amplitude angle in radians; expressions like pi/8 accepted",
+    ),
+    "phi": (parse_angle, math.pi / 6, "relative phase in radians; expressions accepted"),
+    "r": (float, None, "EWL mixing ratio in [0,1] (default 0.9 for ewl, ignored otherwise)"),
+    "n": (int, 2, "number of qubits (EWL only; Bell-type probes are two-qubit)"),
+    "p": (float, 0.3, "decoherence strength in [0,1]"),
+    "mu": (float, 0.0, "correlation strength in [0,1]"),
+    "param": (
+        _parse_params, (Param.THETA, Param.PHI),
+        "parameter(s) to estimate: theta, phi, or theta,phi",
+    ),
+    "method": (Method, None, "sld | closed | both (default: both where closed forms exist)"),
+    "grid-p": (_parse_grid, (0.0, 1.0, 101), "p grid as start:stop:count (endpoints inclusive)"),
+    "grid-mu": (_parse_grid, (0.0, 1.0, 101), "mu grid as start:stop:count (endpoints inclusive)"),
+    "out": (str, None, "output path (CSV, heatmap text, or figure directory)"),
+    "seed": (int, 0, "RNG seed"),
+    "jobs": (int, None, "worker processes for grid sweeps (default: all cores)"),
+    "which": (int, 1, "figure number: 1 | 2 | 3 | 4"),
+    "points": (
+        int, None,
+        "grid points per axis, at least 2 (default 101 for figures 1-3, 21 for 4)",
+    ),
+    "samples": (int, 1000, "number of random tuples to draw"),
+    "tol": (float, 1e-6, "abort threshold on |closed - numeric|"),
+    "fd-tol": (float, 1e-5, "abort threshold on the finite-difference relative deviation"),
+    "shots": (int, 10000, "measurement repetitions M per trial"),
+    "trials": (int, 200, "independent estimation trials"),
+    "csv": (str, None, "input CSV produced by the sweep or figure subcommands"),
+    "value": (str, "qfi", "CSV column to render (default qfi)"),
 }
 
 
@@ -212,7 +200,7 @@ def _add_options(parser: argparse.ArgumentParser, names: list[str]) -> None:
     parser.add_argument("--config", type=str, default=None,
                         help="config file of key = value lines; flags override it")
     for name in names:
-        parser.add_argument(f"--{name}", type=str, default=None, help=_HELP[name])
+        parser.add_argument(f"--{name}", type=str, default=None, help=_OPTIONS[name][2])
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -236,7 +224,7 @@ def _resolve(args: argparse.Namespace, names: list[str]) -> dict[str, object]:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     resolved: dict[str, object] = {}
     for name in names:
-        parser, default = _OPTIONS[name]
+        parser, default, _ = _OPTIONS[name]
         raw = getattr(args, name.replace("-", "_"))
         if raw is None:
             raw = config.get(name)

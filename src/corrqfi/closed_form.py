@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import ChannelKind, ChannelSpec
 from .probes import Param
-from .qfi import SUPPORT_TOL, _qfi_from_eigensystem
+from .qfi import _qfi_from_eigensystem
 
 __all__ = [
     "depolarizing_coefficients",
@@ -176,4 +176,4 @@ def closed_form_qfi(channel: ChannelSpec, theta: float, phi: float, param: Param
     """
     w, v = _x_eigensystem(output_density(channel, theta, phi))
     d_rho = _output_derivative(channel, theta, phi, param)
-    return _qfi_from_eigensystem(w, v, d_rho, SUPPORT_TOL)
+    return _qfi_from_eigensystem(w, v, d_rho)

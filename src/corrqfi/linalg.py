@@ -1,31 +1,31 @@
 """Dense complex linear algebra for small multi-qubit operators.
 
-Everything operates on plain ``numpy`` arrays of ``complex128``.  Dimensions
-are capped at 64 (six qubits): this package targets exactness at desk scale,
-not scalability.  The Hermitian eigensolver is a cyclic Jacobi iteration,
-chosen over LAPACK because the matrices are tiny and Jacobi retains high
-relative accuracy for the near-zero eigenvalues that the Fisher-information
-support logic depends on.  Just past the phase flip's theta = pi/2, where
-F_theta = 4 exactly, Jacobi keeps the numeric route within 4e-15 of 4 while
-numpy's LAPACK ``eigh`` misses by up to 9e-6 (``tests/test_qfi.py``).
+Everything operates on plain ``numpy`` arrays of ``complex128``; the module
+holds the Pauli matrices and the Hermitian eigensolver, and tensor products
+are plain ``numpy.kron``.  ``eigh`` caps dimensions at 64 (six qubits): this
+package targets exactness at desk scale, not scalability.  The eigensolver
+is a cyclic Jacobi iteration, chosen over LAPACK because the matrices are
+tiny and Jacobi retains high relative accuracy for the near-zero
+eigenvalues that the Fisher-information support logic depends on.  Just
+past the phase flip's theta = pi/2, where F_theta = 4 exactly, Jacobi keeps
+the numeric route within 4e-15 of 4 while numpy's LAPACK ``eigh`` misses by
+up to 9e-6 (``tests/test_qfi.py``).
 """
 
 from __future__ import annotations
 
+from functools import cache
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "MAX_DIM",
     "HERMITICITY_TOL",
-    "CapacityError",
     "JacobiConvergenceError",
     "EigenSystem",
     "pauli",
-    "kron",
-    "kron_all",
     "eigh",
 ]
 
@@ -39,10 +39,6 @@ _PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-
-
-class CapacityError(ValueError):
-    """Requested operator dimension exceeds the supported maximum."""
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -70,48 +66,30 @@ def pauli(index: int) -> np.ndarray:
     return _PAULI[index].copy()
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a capacity check at MAX_DIM."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects 2-d matrices")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > MAX_DIM or cols > MAX_DIM:
-        raise CapacityError(
-            f"kron result {rows}x{cols} exceeds the {MAX_DIM}x{MAX_DIM} capacity"
-        )
-    return np.kron(a, b)
-
-
-def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
-    """Left-to-right Kronecker chain; factor 0 ends up most significant."""
-    out = np.array([[1.0 + 0j]])
-    for f in factors:
-        out = kron(out, f)
-    return out
-
-
 def _max_offdiag(a: np.ndarray) -> float:
     off = np.abs(a - np.diag(np.diag(a)))
     return float(off.max())
 
 
-def _round_robin_pairs(n: int) -> list[list[tuple[int, int]]]:
-    """Tournament schedule: every index pair exactly once, rounds disjoint."""
+@cache
+def _round_robin_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Tournament schedule: every index pair exactly once, rounds disjoint.
+
+    Built once per dimension; the result is immutable, so the cache can
+    hand the same schedule to every call.
+    """
     m = n + (n % 2)
     players = list(range(m))
-    rounds: list[list[tuple[int, int]]] = []
+    rounds: list[tuple[tuple[int, int], ...]] = []
     for _ in range(m - 1):
         pairs = []
         for i in range(m // 2):
             p, q = players[i], players[m - 1 - i]
             if p < n and q < n:
                 pairs.append((min(p, q), max(p, q)))
-        rounds.append(pairs)
+        rounds.append(tuple(pairs))
         players = [players[0], players[-1]] + players[1:-1]
-    return rounds
+    return tuple(rounds)
 
 
 def _rotation(apq: complex, app: float, aqq: float) -> tuple[float, complex]:
@@ -140,8 +118,8 @@ def eigh(h: np.ndarray) -> EigenSystem:
     to machine precision because they accumulate exact unitary rotations.
 
     Raises:
-        ValueError: non-square, non-finite, or non-Hermitian input.
-        CapacityError: dimension above MAX_DIM.
+        ValueError: non-square, non-finite, or non-Hermitian input, or a
+            dimension above MAX_DIM.
         JacobiConvergenceError: sweep cap reached (not observed in practice).
     """
     h = np.asarray(h, dtype=complex)
@@ -149,7 +127,7 @@ def eigh(h: np.ndarray) -> EigenSystem:
         raise ValueError(f"eigh expects a square matrix, got shape {h.shape}")
     n = h.shape[0]
     if n > MAX_DIM:
-        raise CapacityError(f"dimension {n} exceeds the {MAX_DIM} capacity")
+        raise ValueError(f"dimension {n} exceeds the {MAX_DIM} capacity")
     if not np.all(np.isfinite(h)):
         raise ValueError("eigh input contains non-finite entries")
     if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:

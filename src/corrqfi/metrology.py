@@ -1,16 +1,18 @@
 """Monte-Carlo check that estimator variance respects the Cramer-Rao bound.
 
-The pipeline is deliberately simple: measure the channel output with a fixed
-POVM, estimate the single free parameter by maximum likelihood on the
-multinomial counts, and compare the empirical variance over many trials with
-1 / (M F).
+The pipeline is deliberately simple: measure the channel output with one
+fixed measurement, estimate the single free parameter by maximum likelihood
+on the multinomial counts, and compare the empirical variance over many
+trials with 1 / (M F).
 
-The default measurement interleaves the computational basis with the
-Hadamard-rotated basis, each taken with probability 1/2.  The computational
-basis alone carries no phase information, so the rotated half supplies it.
-This POVM is a pragmatic choice, not an optimal one: it cannot be expected
-to saturate the bound, only to respect it.  Note the rotated basis senses
-the phase only through cos(phi), so the likelihood is even,
+The measurement interleaves the computational basis with the
+Hadamard-rotated basis, each taken with probability 1/2, so its 2 * 2^N
+outcome probabilities are diag(rho) / 2 followed by diag(H rho H) / 2 with
+H = H^(x N); no POVM element is ever built.  The computational basis alone
+carries no phase information, so the rotated half supplies it.  This
+measurement is a pragmatic choice, not an optimal one: it cannot be
+expected to saturate the bound, only to respect it.  Note the rotated basis
+senses the phase only through cos(phi), so the likelihood is even,
 L(phi) = L(2 pi - phi), and its two maxima tie up to round-off.  Left to
 round-off, some trials land on the mirror branch and inflate the empirical
 variance by orders of magnitude, so ``mle_estimate`` folds the estimate of
@@ -32,25 +34,19 @@ import math
 import numpy as np
 
 from .channels import ChannelSpec, apply_channel
-from .linalg import kron_all
 from .probes import Param, ProbeSpec, density
 from .qfi import cramer_rao_bound, qfi_numeric
 
 __all__ = [
-    "MeasurementModel",
     "EstimationConfig",
     "EstimationReport",
-    "computational_basis_model",
-    "interleaved_basis_model",
     "outcome_probabilities",
-    "sample_outcomes",
     "TrigLikelihood",
     "likelihood_model",
     "mle_estimate",
     "cramer_rao_report",
 ]
 
-_COMPLETENESS_TOL = 1e-12
 _PROBABILITY_TOL = 1e-9
 
 # Below this the computed information is numerical noise around an exact
@@ -65,27 +61,10 @@ _FREQUENCY = {Param.THETA: 2.0, Param.PHI: 1.0}
 # parameter: they are round-off around an exact zero.
 _EVEN_TOL = 1e-12
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+# Likelihood scan points per natural period before the golden-section pass.
+_GRID_POINTS = 401
 
-
-@dataclass(frozen=True)
-class MeasurementModel:
-    """POVM: positive elements summing to the identity, with outcome labels."""
-
-    elements: tuple[np.ndarray, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.elements) != len(self.labels):
-            raise ValueError("one label per POVM element required")
-        total = sum(self.elements)
-        dim = total.shape[0]
-        if np.max(np.abs(total - np.eye(dim))) > _COMPLETENESS_TOL:
-            raise ValueError("POVM elements do not sum to the identity")
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -99,8 +78,8 @@ class EstimationConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if self.trials < 2:
+            raise ValueError("trials must be >= 2: a sample variance needs two estimates")
 
 
 @dataclass(frozen=True)
@@ -138,39 +117,29 @@ class EstimationReport:
         return "\n".join(lines)
 
 
-def _projector_basis(n_qubits: int, rotate: bool) -> list[np.ndarray]:
-    dim = 2**n_qubits
-    eye = np.eye(dim, dtype=complex)
-    if not rotate:
-        return [np.outer(eye[:, k], eye[:, k].conj()) for k in range(dim)]
-    had = kron_all([_HADAMARD] * n_qubits)
-    return [np.outer(had[:, k], had[:, k].conj()) for k in range(dim)]
+def _hadamard_power(n_qubits: int) -> np.ndarray:
+    """H^(x N) with qubit 0 as the most significant factor."""
+    had = np.ones((1, 1))
+    for _ in range(n_qubits):
+        had = np.kron(had, _HADAMARD)
+    return had
 
 
-def computational_basis_model(n_qubits: int) -> MeasurementModel:
-    """Projective measurement in the computational basis."""
-    dim = 2**n_qubits
-    labels = tuple(format(k, f"0{n_qubits}b") for k in range(dim))
-    return MeasurementModel(tuple(_projector_basis(n_qubits, rotate=False)), labels)
+def _born(rho: np.ndarray) -> np.ndarray:
+    """Raw probabilities of the interleaved measurement, before validation.
 
-
-def interleaved_basis_model(n_qubits: int) -> MeasurementModel:
-    """Default model: computational and Hadamard bases, each with weight 1/2."""
-    comp = _projector_basis(n_qubits, rotate=False)
-    rot = _projector_basis(n_qubits, rotate=True)
-    elements = tuple(0.5 * e for e in comp + rot)
-    labels = tuple(
-        [f"z:{format(k, f'0{n_qubits}b')}" for k in range(2**n_qubits)]
-        + [f"x:{format(k, f'0{n_qubits}b')}" for k in range(2**n_qubits)]
-    )
-    return MeasurementModel(elements, labels)
-
-
-def _born(rho: np.ndarray, model: MeasurementModel) -> np.ndarray:
-    """Raw Born probabilities Tr(rho E_k), before any validation."""
-    if rho.shape[0] != model.dim:
-        raise ValueError("state and measurement dimensions differ")
-    return np.array([np.trace(rho @ e).real for e in model.elements])
+    The z outcomes are diag(rho) / 2, the x outcomes diag(H rho H) / 2 with
+    H = H^(x N); both halves run in computational-basis order.
+    """
+    rho = np.asarray(rho)
+    dim = rho.shape[0] if rho.ndim == 2 else 0
+    n_qubits = dim.bit_length() - 1
+    if rho.ndim != 2 or rho.shape[1] != dim or n_qubits < 1 or dim != 2**n_qubits:
+        raise ValueError(f"expected a 2^N x 2^N state with N >= 1, got shape {rho.shape}")
+    had = _hadamard_power(n_qubits)
+    # H is real and symmetric, so (H rho H)_kk = sum_j (H rho)_kj H_kj.
+    rotated = np.sum((had @ rho) * had, axis=1)
+    return 0.5 * np.concatenate([np.diagonal(rho).real, rotated.real])
 
 
 def _normalized(probs: np.ndarray) -> np.ndarray:
@@ -178,37 +147,28 @@ def _normalized(probs: np.ndarray) -> np.ndarray:
     total = probs.sum(axis=-1, keepdims=True)
     worst = total.flat[int(np.argmax(np.abs(total - 1.0)))]
     if abs(worst - 1.0) > _PROBABILITY_TOL:
-        raise ValueError(f"model probabilities sum to {worst}, not 1")
+        raise ValueError(f"outcome probabilities sum to {worst}, not 1")
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def outcome_probabilities(rho: np.ndarray, model: MeasurementModel) -> np.ndarray:
-    """Born probabilities Tr(rho E_k), validated and renormalized exactly."""
-    return _normalized(_born(rho, model))
+def outcome_probabilities(rho: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of the interleaved measurement, validated.
 
-
-def sample_outcomes(
-    rho: np.ndarray,
-    model: MeasurementModel,
-    shots: int,
-    seed: int | np.random.SeedSequence,
-) -> np.ndarray:
-    """Multinomial outcome counts; deterministic for a fixed seed."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    probs = outcome_probabilities(rho, model)
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, probs)
+    Returns the 2^N z outcomes then the 2^N x outcomes, each half in
+    computational-basis order, checked to sum to 1, clipped and
+    renormalized exactly.
+    """
+    return _normalized(_born(rho))
 
 
 @dataclass(frozen=True)
 class TrigLikelihood:
     """Outcome probabilities p_k(v) = a_k + b_k cos(w v) + c_k sin(w v).
 
-    Exact for a probe parameter v pushed through a fixed channel and POVM;
-    ``probabilities`` validates, clips and renormalizes like
-    ``outcome_probabilities``.
+    Exact for a probe parameter v pushed through a fixed channel and the
+    interleaved measurement; ``probabilities`` validates, clips and
+    renormalizes like ``outcome_probabilities``.
     """
 
     a: np.ndarray
@@ -235,9 +195,7 @@ class TrigLikelihood:
         return np.log(np.clip(probs, 1e-300, None)) @ counts
 
 
-def likelihood_model(
-    model: MeasurementModel, probe: ProbeSpec, channel: ChannelSpec, param: Param
-) -> TrigLikelihood:
+def likelihood_model(probe: ProbeSpec, channel: ChannelSpec, param: Param) -> TrigLikelihood:
     """Fix the trigonometric coefficients from three channel applications.
 
     At w v = 0, pi/2 and pi the probabilities are a + b, a + c and a - b.
@@ -245,7 +203,7 @@ def likelihood_model(
     param = Param(param)
     omega = _FREQUENCY[param]
     q0, q1, q2 = (
-        _born(apply_channel(density(replace(probe, **{param.value: wv / omega})), channel), model)
+        _born(apply_channel(density(replace(probe, **{param.value: wv / omega})), channel))
         for wv in (0.0, math.pi / 2.0, math.pi)
     )
     a = (q0 + q2) / 2.0
@@ -253,12 +211,7 @@ def likelihood_model(
 
 
 def mle_estimate(
-    counts: np.ndarray,
-    model: MeasurementModel,
-    probe: ProbeSpec,
-    channel: ChannelSpec,
-    param: Param,
-    grid_points: int = 401,
+    counts: np.ndarray, probe: ProbeSpec, channel: ChannelSpec, param: Param
 ) -> float:
     """Maximum-likelihood value of one parameter from multinomial counts.
 
@@ -271,16 +224,16 @@ def mle_estimate(
     counts = np.asarray(counts)
     if counts.sum() <= 0:
         raise ValueError("counts must contain at least one outcome")
-    likelihood = likelihood_model(model, probe, channel, param)
+    likelihood = likelihood_model(probe, channel, param)
     period = likelihood.period
-    grid = np.linspace(0.0, period, grid_points, endpoint=False)
+    grid = np.linspace(0.0, period, _GRID_POINTS, endpoint=False)
 
     def loglik(value: float) -> float:
         return float(likelihood.log_likelihood(counts, value))
 
     best = int(np.argmax(likelihood.log_likelihood(counts, grid)))
     lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid_points - 1)]
+    hi = grid[min(best + 1, _GRID_POINTS - 1)]
 
     # Golden-section maximization on [lo, hi]; ~1e-13 interval at 60 steps.
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -308,8 +261,6 @@ def cramer_rao_report(
     channel: ChannelSpec,
     param: Param,
     config: EstimationConfig,
-    model: MeasurementModel | None = None,
-    grid_points: int = 401,
 ) -> EstimationReport:
     """Estimate the parameter over many trials and compare with 1/(M F).
 
@@ -318,12 +269,10 @@ def cramer_rao_report(
     exactly for a fixed config.
     """
     param = Param(param)
-    if model is None:
-        model = interleaved_basis_model(probe.n_qubits)
     qfi = qfi_numeric(probe, channel, param)
     bound = cramer_rao_bound(qfi if qfi > _QFI_FLOOR else 0.0, config.repetitions)
     rho = apply_channel(density(probe), channel)
-    probs = outcome_probabilities(rho, model)
+    probs = outcome_probabilities(rho)
 
     estimates = np.empty(config.trials)
     for trial in range(config.trials):
@@ -331,9 +280,9 @@ def cramer_rao_report(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(trial,))
         )
         counts = rng.multinomial(config.repetitions, probs)
-        estimates[trial] = mle_estimate(counts, model, probe, channel, param, grid_points)
+        estimates[trial] = mle_estimate(counts, probe, channel, param)
 
-    variance = float(np.var(estimates, ddof=1)) if config.trials > 1 else 0.0
+    variance = float(np.var(estimates, ddof=1))
     true_value = probe.theta if param is Param.THETA else probe.phi
     return EstimationReport(
         param=param,

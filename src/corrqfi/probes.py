@@ -26,7 +26,6 @@ __all__ = [
     "ProbeFamily",
     "Param",
     "ProbeSpec",
-    "BELL_FAMILIES",
     "DEFAULT_EWL_RATIO",
     "bell_state_vector",
     "density",
@@ -44,11 +43,6 @@ class ProbeFamily(str, Enum):
     PSI_PLUS = "psi+"
     PSI_MINUS = "psi-"
     EWL = "ewl"
-
-
-BELL_FAMILIES = frozenset(
-    {ProbeFamily.PHI_PLUS, ProbeFamily.PHI_MINUS, ProbeFamily.PSI_PLUS, ProbeFamily.PSI_MINUS}
-)
 
 
 class Param(str, Enum):

@@ -57,17 +57,15 @@ def _require_hermitian(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def _support(w: np.ndarray, tol: float = SUPPORT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _support(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pair sums lam_i + lam_j and the mask of pairs inside the support."""
     denom = w[:, None] + w[None, :]
-    return denom, denom > tol
+    return denom, denom > SUPPORT_TOL
 
 
-def _qfi_from_eigensystem(
-    w: np.ndarray, v: np.ndarray, d_rho: np.ndarray, support_tol: float
-) -> float:
+def _qfi_from_eigensystem(w: np.ndarray, v: np.ndarray, d_rho: np.ndarray) -> float:
     t = v.conj().T @ d_rho @ v
-    denom, inside = _support(w, support_tol)
+    denom, inside = _support(w)
     return float(np.sum(2.0 * np.abs(t[inside]) ** 2 / denom[inside]))
 
 
@@ -76,7 +74,7 @@ def qfi_sld(rho: np.ndarray, d_rho: np.ndarray) -> float:
     rho = _require_hermitian(rho, "rho")
     d_rho = _require_hermitian(d_rho, "d_rho")
     w, v = eigh(rho)
-    return _qfi_from_eigensystem(w, v, d_rho, SUPPORT_TOL)
+    return _qfi_from_eigensystem(w, v, d_rho)
 
 
 def build_sld(rho: np.ndarray, d_rho: np.ndarray) -> np.ndarray:

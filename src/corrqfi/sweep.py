@@ -211,10 +211,13 @@ def run_point(
 def run_sweep(config: SweepConfig, jobs: int | None = None) -> list[SweepRecord]:
     """Evaluate the full (p, mu) grid in canonical row order.
 
-    Row order: p outer, mu inner, then param, then method.  With jobs > 1
-    the points are farmed out to a process pool; rows are still assembled
-    in canonical order, so output is independent of the worker count.
+    Row order: p outer, mu inner, then param, then method.  ``jobs``
+    (default: all cores) must be >= 1.  The points are farmed out to a
+    process pool of min(jobs, points, cores) workers when that exceeds 1;
+    rows are still assembled in canonical order, so output is independent
+    of the worker count.
     """
+    _check_jobs(jobs)
     method = config.method or default_method(config.probe, config.kind)
     evaluate = partial(run_point, config.probe, params=config.params, method=method)
     channels = [
@@ -222,11 +225,11 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> list[SweepRecord]
         for p in _grid(*config.p_grid)
         for mu in _grid(*config.mu_grid)
     ]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs > 1 and len(channels) > 1:
-        chunk = max(1, len(channels) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    cores = os.cpu_count() or 1
+    workers = min(jobs or cores, cores, len(channels))
+    if workers > 1:
+        chunk = max(1, len(channels) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(evaluate, channels, chunksize=chunk))
     else:
         chunks = [evaluate(c) for c in channels]
@@ -234,6 +237,11 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> list[SweepRecord]
     if config.out is not None:
         write_csv(records, config.out)
     return records
+
+
+def _check_jobs(jobs: int | None) -> None:
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
 def write_csv(records: list[SweepRecord], path: str | Path) -> None:
@@ -357,6 +365,7 @@ def figure(
     """
     if points is not None and points < 2:
         raise ValueError(f"figure grids need at least 2 points per axis, got {points}")
+    _check_jobs(jobs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"fig{which}.csv"

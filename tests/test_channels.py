@@ -5,9 +5,9 @@ from corrqfi.channels import (
     ChannelKind,
     ChannelSpec,
     apply_channel,
-    conditional_probability,
     joint_distribution,
     single_use_distribution,
+    transfer_matrix,
 )
 from corrqfi.linalg import pauli
 from corrqfi.probes import Param, ProbeFamily, ProbeSpec, density, density_derivative
@@ -57,28 +57,23 @@ def test_distribution_rejects_bad_p():
 
 
 def test_conditional_uncorrelated_limit():
+    step = transfer_matrix(ChannelKind.DEPOLARIZING, 0.3, 0.0)
     for i in range(4):
         for j in range(4):
-            got = conditional_probability(ChannelKind.DEPOLARIZING, 0.3, 0.0, i, j)
             want = single_use_distribution(ChannelKind.DEPOLARIZING, 0.3)[i]
-            assert got == pytest.approx(want, abs=0)
+            assert step[i, j] == pytest.approx(want, abs=0)
 
 
 def test_conditional_fully_correlated_limit():
+    step = transfer_matrix(ChannelKind.BIT_FLIP, 0.3, 1.0)
     for i in range(4):
         for j in range(4):
-            got = conditional_probability(ChannelKind.BIT_FLIP, 0.3, 1.0, i, j)
-            assert got == (1.0 if i == j else 0.0)
+            assert step[i, j] == (1.0 if i == j else 0.0)
 
 
 def test_conditional_direct_value():
-    got = conditional_probability(ChannelKind.DEPOLARIZING, 0.3, 0.5, 0, 0)
+    got = transfer_matrix(ChannelKind.DEPOLARIZING, 0.3, 0.5)[0, 0]
     assert got == pytest.approx(0.85, abs=1e-15)
-
-
-def test_conditional_rejects_bad_index():
-    with pytest.raises(ValueError):
-        conditional_probability(ChannelKind.DEPOLARIZING, 0.3, 0.5, 4, 0)
 
 
 def test_joint_chain_value():

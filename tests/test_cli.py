@@ -142,6 +142,29 @@ def test_estimate_rejects_two_params(capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+def test_estimate_rejects_a_single_trial(capsys):
+    code = main(["estimate", "--channel", "phaseflip", "--param", "phi", "--trials", "1"])
+    assert code == 2
+    assert "trials must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
+    out_csv = tmp_path / "out.csv"
+    code = main(
+        ["sweep", "--channel", "phaseflip", "--grid-p", "0:1:2", "--grid-mu", "0:1:2",
+         "--jobs", jobs, "--out", str(out_csv)]
+    )
+    assert code == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    for which in ("3", "4"):
+        code = main(["figure", "--which", which, "--points", "2", "--jobs", jobs,
+                     "--out", str(tmp_path / "fig")])
+        assert code == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_figure_command(tmp_path, capsys):
     code = main(["figure", "--which", "3", "--points", "4", "--out", str(tmp_path)])
     out = capsys.readouterr().out

@@ -6,14 +6,11 @@ import pytest
 from corrqfi.channels import ChannelKind, ChannelSpec, apply_channel
 from corrqfi.metrology import (
     EstimationConfig,
-    MeasurementModel,
-    computational_basis_model,
+    _born,
     cramer_rao_report,
-    interleaved_basis_model,
     likelihood_model,
     mle_estimate,
     outcome_probabilities,
-    sample_outcomes,
 )
 from corrqfi.probes import Param, ProbeFamily, ProbeSpec, density
 
@@ -24,77 +21,103 @@ def phi_plus(theta=np.pi / 8, phi=np.pi / 6):
     return ProbeSpec(ProbeFamily.PHI_PLUS, theta, phi)
 
 
+def draw_counts(rho, m, seed):
+    return np.random.default_rng(seed).multinomial(m, outcome_probabilities(rho))
+
+
+def hadamard_projectors(n):
+    """Rank-one projectors onto the columns of H^(x N), built by outer products."""
+    had = np.array([[1.0]])
+    for _ in range(n):
+        had = np.kron(had, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    return [np.outer(had[:, k], had[:, k]) for k in range(2**n)]
+
+
+def random_state(rng, n):
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
 def test_models_are_complete():
+    # The raw probabilities of any state sum to its trace and are
+    # nonnegative, before outcome_probabilities renormalizes them.
+    rng = np.random.default_rng(SEED)
     for n in (1, 2, 3):
-        for model in (computational_basis_model(n), interleaved_basis_model(n)):
-            total = sum(model.elements)
-            np.testing.assert_allclose(total, np.eye(2**n), atol=1e-12)
-            for e in model.elements:
-                assert np.linalg.eigvalsh(e).min() >= -1e-12
-
-
-def test_model_requires_completeness():
-    bad = (np.eye(2, dtype=complex) * 0.5,)
-    with pytest.raises(ValueError):
-        MeasurementModel(bad, ("only",))
+        rho = 3.0 * random_state(rng, n)
+        raw = _born(rho)
+        assert raw.shape == (2 * 2**n,)
+        assert raw.sum() == pytest.approx(3.0, rel=1e-13)
+        assert raw.min() >= 0.0
 
 
 def test_deterministic_outcome():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    counts = sample_outcomes(rho, computational_basis_model(2), 500, seed=1)
-    assert counts[0] == 500
-    assert counts[1:].sum() == 0
+    np.testing.assert_allclose(outcome_probabilities(rho), [0.5, 0, 0, 0] + [0.125] * 4, atol=1e-16)
+    counts = draw_counts(rho, 500, seed=1)
+    assert counts[1:4].sum() == 0
+    assert counts.sum() == 500
 
 
 def test_uniform_outcomes_within_5_sigma():
     m = 4 * 10**6
-    counts = sample_outcomes(np.eye(4, dtype=complex) / 4, computational_basis_model(2), m, seed=2)
-    sigma = np.sqrt(m * 0.25 * 0.75)
-    assert np.all(np.abs(counts - m / 4) <= 5 * sigma)
+    counts = draw_counts(np.eye(4, dtype=complex) / 4, m, seed=2)
+    sigma = np.sqrt(m * 0.125 * 0.875)
+    assert np.all(np.abs(counts - m / 8) <= 5 * sigma)
 
 
 def test_probabilities_match_independent_traces():
+    # Tr(rho E_k) with the POVM elements E_k built explicitly: the
+    # computational projectors, then the Hadamard-basis ones, each halved.
+    rng = np.random.default_rng(SEED)
     channel = ChannelSpec(ChannelKind.PHASE_FLIP, 0.3, 0.5)
-    rho = apply_channel(density(phi_plus()), channel)
-    model = interleaved_basis_model(2)
-    probs = outcome_probabilities(rho, model)
-    for k, element in enumerate(model.elements):
-        manual = np.trace(rho @ element).real
-        assert probs[k] == pytest.approx(manual, abs=1e-12)
+    states = [apply_channel(density(phi_plus()), channel)]
+    states += [random_state(rng, n) for n in (1, 2, 3)]
+    for rho in states:
+        n = rho.shape[0].bit_length() - 1
+        elements = [np.diag(e) / 2 for e in np.eye(2**n)]
+        elements += [e / 2 for e in hadamard_projectors(n)]
+        probs = outcome_probabilities(rho)
+        assert len(probs) == len(elements)
+        for k, element in enumerate(elements):
+            manual = np.trace(rho @ element).real
+            assert probs[k] == pytest.approx(manual, abs=1e-15)
 
 
 def test_probability_sum_guard():
     with pytest.raises(ValueError):
-        outcome_probabilities(np.eye(4, dtype=complex) / 2.0, computational_basis_model(2))
+        outcome_probabilities(np.eye(4, dtype=complex) / 2.0)
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 2), (3, 3), (1, 1), (2, 2, 2)])
+def test_outcome_probabilities_rejects_non_qubit_shapes(shape):
+    with pytest.raises(ValueError, match="2\\^N"):
+        outcome_probabilities(np.zeros(shape))
 
 
 def test_seed_reproducibility():
     rho = apply_channel(density(phi_plus()), ChannelSpec(ChannelKind.BIT_FLIP, 0.2, 0.1))
-    model = interleaved_basis_model(2)
-    a = sample_outcomes(rho, model, 1000, seed=7)
-    b = sample_outcomes(rho, model, 1000, seed=7)
-    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(draw_counts(rho, 1000, seed=7), draw_counts(rho, 1000, seed=7))
 
 
 def test_mle_recovers_theta_noiselessly():
     # asymptotic-normality scale check at large M
     probe = phi_plus(np.pi / 8, np.pi / 6)
     channel = ChannelSpec(ChannelKind.PHASE_FLIP, 0.0, 0.0)
-    model = interleaved_basis_model(2)
     m = 10**5
-    rho = apply_channel(density(probe), channel)
-    counts = sample_outcomes(rho, model, m, seed=11)
-    est = mle_estimate(counts, model, probe, channel, Param.THETA)
+    counts = draw_counts(apply_channel(density(probe), channel), m, seed=11)
+    est = mle_estimate(counts, probe, channel, Param.THETA)
     assert abs(est - np.pi / 8) <= 3.0 / np.sqrt(m * 4.0)
 
 
 def test_mle_boundary_estimate():
-    probe = phi_plus(0.0, 0.0)
+    # At phi = pi/2 every x outcome has probability 1/8 for all theta, so
+    # only the z outcomes inform theta and all their counts land on |00>.
+    probe = phi_plus(0.0, np.pi / 2)
     channel = ChannelSpec(ChannelKind.PHASE_FLIP, 0.0, 0.0)
-    model = computational_basis_model(2)
-    counts = sample_outcomes(apply_channel(density(probe), channel), model, 1000, seed=3)
-    est = mle_estimate(counts, model, probe, channel, Param.THETA)
+    counts = draw_counts(apply_channel(density(probe), channel), 1000, seed=3)
+    est = mle_estimate(counts, probe, channel, Param.THETA)
     assert est == pytest.approx(0.0, abs=1e-9)
 
 
@@ -102,17 +125,16 @@ def test_likelihood_model_matches_channel_outputs():
     rng = np.random.default_rng(SEED)
     ewl = ProbeSpec(ProbeFamily.EWL, np.pi / 8, np.pi / 6, r=0.9, n_qubits=3)
     for probe in (phi_plus(), ewl):
-        model = interleaved_basis_model(probe.n_qubits)
         for kind in ChannelKind:
             channel = ChannelSpec(kind, 0.3, 0.4)
             for param in Param:
-                likelihood = likelihood_model(model, probe, channel, param)
+                likelihood = likelihood_model(probe, channel, param)
                 # The rotated basis sees phi only through cos(phi).
                 assert likelihood.even == (param is Param.PHI)
                 values = rng.uniform(0.0, likelihood.period, 20)
                 for value, got in zip(values, likelihood.probabilities(values)):
                     rho = apply_channel(density(replace(probe, **{param.value: value})), channel)
-                    want = outcome_probabilities(rho, model)
+                    want = outcome_probabilities(rho)
                     assert np.max(np.abs(got - want)) <= 1e-12, (probe.family, kind, param)
 
 
@@ -127,16 +149,11 @@ def test_phi_estimates_stay_on_the_true_branch():
     assert np.all(np.abs(report.estimates - probe.phi) < np.pi / 2)
 
 
-def test_sample_outcomes_rejects_zero_shots():
-    with pytest.raises(ValueError):
-        sample_outcomes(np.eye(4, dtype=complex) / 4, computational_basis_model(2), 0, seed=1)
-
-
 def test_mle_rejects_empty_counts():
     probe = phi_plus()
     channel = ChannelSpec(ChannelKind.PHASE_FLIP, 0.1, 0.1)
     with pytest.raises(ValueError):
-        mle_estimate(np.zeros(8), interleaved_basis_model(2), probe, channel, Param.THETA)
+        mle_estimate(np.zeros(8), probe, channel, Param.THETA)
 
 
 def test_independent_seeds_differ():
@@ -176,6 +193,14 @@ def test_unbounded_flag():
     probe = phi_plus()
     channel = ChannelSpec(ChannelKind.DEPOLARIZING, 0.75, 0.0)
     config = EstimationConfig(repetitions=50, trials=2, seed=0)
-    report = cramer_rao_report(probe, channel, Param.PHI, config, grid_points=41)
+    report = cramer_rao_report(probe, channel, Param.PHI, config)
     assert report.bound_unbounded
     assert "unbounded" in report.format()
+
+
+def test_config_rejects_a_single_trial():
+    # One estimate has no sample variance; the parent reported 0 for it,
+    # which read as beating the Cramer-Rao bound.
+    with pytest.raises(ValueError, match="trials must be >= 2"):
+        EstimationConfig(repetitions=100, trials=1, seed=0)
+    EstimationConfig(repetitions=100, trials=2, seed=0)

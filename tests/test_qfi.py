@@ -144,10 +144,10 @@ def test_gauge_invariance_of_sld_formula():
     d_rho = apply_channel(density_derivative(spec, Param.PHI), channel)
     w = np.linalg.eigvalsh(rho)
     _, v = np.linalg.eigh(rho)
-    base = _qfi_from_eigensystem(w, v, d_rho, 1e-12)
+    base = _qfi_from_eigensystem(w, v, d_rho)
     for _ in range(10):
         phases = np.exp(2j * np.pi * rng.random(4))
-        rotated = _qfi_from_eigensystem(w, v * phases[None, :], d_rho, 1e-12)
+        rotated = _qfi_from_eigensystem(w, v * phases[None, :], d_rho)
         assert rotated == pytest.approx(base, abs=1e-10)
 
 

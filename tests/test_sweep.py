@@ -109,6 +109,54 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("jobs", [0, -5])
+def test_sweep_rejects_jobs_below_one(tmp_path, jobs):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_sweep(small_config(tmp_path), jobs=jobs)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, count, cores, workers",
+    [
+        (64, 2, 3, 3),  # capped by the cores
+        (64, 2, 8, 4),  # capped by the 2 x 2 grid points
+        (2, 3, 8, 2),  # capped by jobs
+        (None, 3, 3, 3),  # default: all cores
+        (1, 3, 8, None),  # one worker runs serially, no pool
+        (None, 3, 1, None),
+    ],
+)
+def test_sweep_pool_size_is_bounded(tmp_path, monkeypatch, jobs, count, cores, workers):
+    import corrqfi.sweep
+
+    RecordingPool.sizes = []
+    monkeypatch.setattr(corrqfi.sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(corrqfi.sweep.os, "cpu_count", lambda: cores)
+    config = small_config(tmp_path, count=count)
+    records = run_sweep(config, jobs=jobs)
+    assert RecordingPool.sizes == ([] if workers is None else [workers])
+    assert len(records) == count * count * 2 * 2
+
+
 def test_csv_header_schema(tmp_path):
     config = small_config(tmp_path)
     run_sweep(config, jobs=1)

@@ -180,7 +180,11 @@ _OPTIONS = {
     "grid-mu": (_parse_grid, (0.0, 1.0, 101), "mu grid as start:stop:count (endpoints inclusive)"),
     "out": (str, None, "output path (CSV, heatmap text, or figure directory)"),
     "seed": (int, 0, "RNG seed"),
-    "jobs": (int, None, "worker processes for grid sweeps (default: all cores)"),
+    "jobs": (
+        int, None,
+        "worker processes for the sld rows of sweep (default: all cores); "
+        "figure checks it but runs in one process",
+    ),
     "which": (int, 1, "figure number: 1 | 2 | 3 | 4"),
     "points": (
         int, None,

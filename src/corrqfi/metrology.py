@@ -235,7 +235,10 @@ def mle_estimate(
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, _GRID_POINTS - 1)]
 
-    # Golden-section maximization on [lo, hi]; ~1e-13 interval at 60 steps.
+    # Golden-section maximization on [lo, hi].  60 steps shrink the bracket
+    # far below 1e-13, but the log-likelihood (~1e4 in size at M = 1e4) is
+    # flat to round-off near its maximum, so the estimate resolves only to
+    # about 2e-7; equivalent likelihood formulas can move it that much.
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)

@@ -7,11 +7,13 @@ eigensystem (lam_i, |i>) of the state,
 
 It needs no eigenvector derivatives, so it is safe under spectral
 degeneracies and independent of the eigenvectors' phases.  ``qfi_sld``
-feeds it the Jacobi ``eigh`` of a dense state; ``qfi_numeric`` pushes the
-probe and its exact derivative through ``apply_channel`` first.  The
-closed-form module feeds the same sum (``_qfi_from_eigensystem``) its
-analytic eigensystems, so the two routes share the sum and its support cut
-and nothing else.
+feeds it the Jacobi ``eigh`` of a dense state.  ``_qfi_numeric`` pushes
+the probe through ``apply_channel`` once, diagonalises the output once and
+pushes each parameter's exact derivative through the channel; ``qfi_numeric``
+is its one-parameter case.  The closed-form module feeds the same sum
+(``_qfi_from_eigensystem``) its analytic 2x2 block eigensystems over whole
+grids, so the two routes share the sum and its support cut and nothing
+else.  The sum and the cut take leading batch axes, which broadcast.
 
 Only the support set of the state contributes.  One helper, ``_support``,
 makes that cut for every route: an eigenvalue pair (i, j) counts when
@@ -58,15 +60,27 @@ def _require_hermitian(m: np.ndarray, name: str) -> np.ndarray:
 
 
 def _support(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair sums lam_i + lam_j and the mask of pairs inside the support."""
-    denom = w[:, None] + w[None, :]
+    """Pair sums lam_i + lam_j and the mask of pairs inside the support.
+
+    ``w`` may carry leading batch axes: (..., n) gives (..., n, n).
+    """
+    denom = w[..., :, None] + w[..., None, :]
     return denom, denom > SUPPORT_TOL
 
 
-def _qfi_from_eigensystem(w: np.ndarray, v: np.ndarray, d_rho: np.ndarray) -> float:
-    t = v.conj().T @ d_rho @ v
+def _qfi_from_eigensystem(w: np.ndarray, v: np.ndarray, d_rho: np.ndarray) -> np.ndarray:
+    """SLD sum for eigensystems (w, v) and derivatives d_rho.
+
+    All three may carry leading batch axes, which broadcast: one eigensystem
+    serves a stack of derivatives.  Returns an array of the batch shape.
+    """
+    t = np.swapaxes(v.conj(), -1, -2) @ d_rho @ v
     denom, inside = _support(w)
-    return float(np.sum(2.0 * np.abs(t[inside]) ** 2 / denom[inside]))
+    terms = 2.0 * np.abs(t) ** 2 / np.where(inside, denom, np.inf)
+    # Pairs outside the support are left out of the sum, not added as zeros:
+    # zeros regroup numpy's pairwise sum and move the last bit of
+    # rank-deficient results.
+    return np.sum(terms, axis=(-2, -1), where=inside)
 
 
 def qfi_sld(rho: np.ndarray, d_rho: np.ndarray) -> float:
@@ -74,7 +88,7 @@ def qfi_sld(rho: np.ndarray, d_rho: np.ndarray) -> float:
     rho = _require_hermitian(rho, "rho")
     d_rho = _require_hermitian(d_rho, "d_rho")
     w, v = eigh(rho)
-    return _qfi_from_eigensystem(w, v, d_rho)
+    return float(_qfi_from_eigensystem(w, v, d_rho))
 
 
 def build_sld(rho: np.ndarray, d_rho: np.ndarray) -> np.ndarray:
@@ -92,15 +106,26 @@ def build_sld(rho: np.ndarray, d_rho: np.ndarray) -> np.ndarray:
     return v @ (2.0 * t / safe) @ v.conj().T
 
 
-def qfi_numeric(probe: ProbeSpec, channel: ChannelSpec, param: Param) -> float:
-    """QFI of the channel output, fully numeric.
+def _qfi_numeric(probe: ProbeSpec, channel: ChannelSpec, params: tuple[Param, ...]) -> np.ndarray:
+    """QFI of the channel output for each parameter in ``params``, fully numeric.
 
-    The channel is linear and parameter independent, so the exact analytic
-    probe derivative is pushed through it directly.
+    The probe goes through the channel once and its output is diagonalised
+    once.  The channel is linear and parameter independent, so each exact
+    analytic probe derivative is pushed through it directly and summed over
+    that one eigensystem.
     """
-    rho = apply_channel(density(probe), channel)
-    d_rho = apply_channel(density_derivative(probe, param), channel)
-    return qfi_sld(rho, d_rho)
+    rho = _require_hermitian(apply_channel(density(probe), channel), "rho")
+    d_rho = np.stack([
+        _require_hermitian(apply_channel(density_derivative(probe, param), channel), "d_rho")
+        for param in params
+    ])
+    w, v = eigh(rho)
+    return _qfi_from_eigensystem(w, v, d_rho)
+
+
+def qfi_numeric(probe: ProbeSpec, channel: ChannelSpec, param: Param) -> float:
+    """QFI of the channel output, fully numeric (``_qfi_numeric`` for one parameter)."""
+    return float(_qfi_numeric(probe, channel, (param,))[0])
 
 
 def qfi_numeric_fd(probe: ProbeSpec, channel: ChannelSpec, param: Param) -> float:

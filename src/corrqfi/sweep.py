@@ -28,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .channels import ChannelKind, ChannelSpec
-from .closed_form import closed_form_qfi
+from .closed_form import closed_form_qfi, closed_form_qfi_grid
 from .probes import Param, ProbeFamily, ProbeSpec
-from .qfi import qfi_numeric, qfi_numeric_fd
+from .qfi import _qfi_numeric, qfi_numeric, qfi_numeric_fd
 
 __all__ = [
     "Method",
@@ -92,21 +92,6 @@ class SweepRecord:
                 f"qfi {self.qfi} outside the sane range [{_QFI_FLOOR}, {4.0 * self.n}]"
             )
 
-    def as_csv_row(self) -> list[str]:
-        return [
-            self.channel,
-            self.family,
-            str(self.n),
-            _fmt(self.r),
-            _fmt(self.theta),
-            _fmt(self.phi),
-            _fmt(self.p),
-            _fmt(self.mu),
-            self.param,
-            self.method,
-            _fmt(self.qfi),
-        ]
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -152,48 +137,51 @@ def default_method(probe: ProbeSpec, kind: ChannelKind) -> Method:
     return Method.BOTH if closed_form_available(probe, kind) else Method.SLD
 
 
-def evaluate_point(
-    probe: ProbeSpec,
-    channel: ChannelSpec,
-    param: Param,
-    method: Method | None = None,
-) -> list[SweepRecord]:
-    """QFI at a single (probe, channel, param) point for the chosen route(s)."""
-    method = default_method(probe, channel.kind) if method is None else Method(method)
-    if method is not Method.SLD and not closed_form_available(probe, channel.kind):
+def _resolve_method(probe: ProbeSpec, kind: ChannelKind, method: Method | None) -> Method:
+    method = default_method(probe, kind) if method is None else Method(method)
+    if method is not Method.SLD and not closed_form_available(probe, kind):
         raise ValueError(
             "closed forms exist only for the two-qubit phi+ probe; "
             "use method=sld for this probe"
         )
-    values: dict[str, float] = {}
-    if method in (Method.SLD, Method.BOTH):
-        values["sld"] = qfi_numeric(probe, channel, param)
-    if method in (Method.CLOSED, Method.BOTH):
-        values["closed"] = closed_form_qfi(channel, probe.theta, probe.phi, param)
-    if method is Method.BOTH:
-        gap = abs(values["sld"] - values["closed"])
-        if gap > _BOTH_TOL:
-            raise RuntimeError(
-                f"sld/closed disagree by {gap:.3e} at p={channel.p} mu={channel.mu} "
-                f"param={param.value}; refusing to emit inconsistent data"
+    return method
+
+
+def _closed_values(kind: ChannelKind, p, mu, probe: ProbeSpec, params: tuple[Param, ...]) -> list:
+    """Closed-route QFI over broadcast (p, mu) points, as [point][param] floats."""
+    f = closed_form_qfi_grid(kind, p, mu, probe.theta, probe.phi)
+    rows = f[[list(Param).index(param) for param in params]]
+    return rows.reshape(len(params), -1).T.tolist()
+
+
+def _records(
+    probe: ProbeSpec,
+    kind: ChannelKind,
+    points: list[tuple[float, float]],
+    params: tuple[Param, ...],
+    values: dict[str, list],
+) -> list[SweepRecord]:
+    """Rows of the (p, mu) ``points``: point order, then param, then method.
+
+    ``values`` maps each computed method to its values as [point][param].
+    """
+    head = (kind.value, probe.family.value, probe.n_qubits, probe.r, probe.theta, probe.phi)
+    names = [name for name in _METHOD_ORDER if name in values]
+    columns = [values[name] for name in names]
+    records: list[SweepRecord] = []
+    for i, (p, mu) in enumerate(points):
+        for k, param in enumerate(params):
+            row = [column[i][k] for column in columns]
+            gap = max(row) - min(row)  # |sld - closed|, 0 with one method
+            if gap > _BOTH_TOL:
+                raise RuntimeError(
+                    f"sld/closed disagree by {gap:.3e} at p={p} mu={mu} "
+                    f"param={param.value}; refusing to emit inconsistent data"
+                )
+            records.extend(
+                SweepRecord(*head, p, mu, param.value, name, qfi) for name, qfi in zip(names, row)
             )
-    return [
-        SweepRecord(
-            channel=channel.kind.value,
-            family=probe.family.value,
-            n=probe.n_qubits,
-            r=probe.r,
-            theta=probe.theta,
-            phi=probe.phi,
-            p=channel.p,
-            mu=channel.mu,
-            param=param.value,
-            method=name,
-            qfi=values[name],
-        )
-        for name in _METHOD_ORDER
-        if name in values
-    ]
+    return records
 
 
 def run_point(
@@ -202,38 +190,60 @@ def run_point(
     params: tuple[Param, ...],
     method: Method | None = None,
 ) -> list[SweepRecord]:
-    records: list[SweepRecord] = []
-    for param in params:
-        records.extend(evaluate_point(probe, channel, param, method))
-    return records
+    """QFI at one (probe, channel) point for every parameter and chosen route.
+
+    Each route computes all parameters from one output eigensystem.
+    """
+    params = tuple(Param(param) for param in params)
+    method = _resolve_method(probe, channel.kind, method)
+    values: dict[str, list] = {}
+    if method in (Method.SLD, Method.BOTH):
+        values["sld"] = [_qfi_numeric(probe, channel, params).tolist()]
+    if method in (Method.CLOSED, Method.BOTH):
+        values["closed"] = _closed_values(channel.kind, channel.p, channel.mu, probe, params)
+    return _records(probe, channel.kind, [(channel.p, channel.mu)], params, values)
+
+
+def evaluate_point(
+    probe: ProbeSpec,
+    channel: ChannelSpec,
+    param: Param,
+    method: Method | None = None,
+) -> list[SweepRecord]:
+    """QFI at a single (probe, channel, param) point for the chosen route(s)."""
+    return run_point(probe, channel, (param,), method)
 
 
 def run_sweep(config: SweepConfig, jobs: int | None = None) -> list[SweepRecord]:
     """Evaluate the full (p, mu) grid in canonical row order.
 
     Row order: p outer, mu inner, then param, then method.  ``jobs``
-    (default: all cores) must be >= 1.  The points are farmed out to a
-    process pool of min(jobs, points, cores) workers when that exceeds 1;
-    rows are still assembled in canonical order, so output is independent
-    of the worker count.
+    (default: all cores) must be >= 1.  The closed rows come from one
+    ``closed_form_qfi_grid`` call.  The sld rows are farmed out to a process
+    pool of min(jobs, points, cores) workers when that exceeds 1; rows are
+    still assembled in canonical order, so output is independent of the
+    worker count.
     """
     _check_jobs(jobs)
-    method = config.method or default_method(config.probe, config.kind)
-    evaluate = partial(run_point, config.probe, params=config.params, method=method)
-    channels = [
-        ChannelSpec(config.kind, float(p), float(mu))
-        for p in _grid(*config.p_grid)
-        for mu in _grid(*config.mu_grid)
-    ]
-    cores = os.cpu_count() or 1
-    workers = min(jobs or cores, cores, len(channels))
-    if workers > 1:
-        chunk = max(1, len(channels) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(evaluate, channels, chunksize=chunk))
-    else:
-        chunks = [evaluate(c) for c in channels]
-    records = [rec for chunk in chunks for rec in chunk]
+    probe, kind, params = config.probe, config.kind, config.params
+    method = _resolve_method(probe, kind, config.method)
+    ps, mus = _grid(*config.p_grid), _grid(*config.mu_grid)
+    points = [(p, mu) for p in ps.tolist() for mu in mus.tolist()]
+    values: dict[str, list] = {}
+    if method in (Method.SLD, Method.BOTH):
+        evaluate = partial(_qfi_numeric, probe, params=params)
+        channels = [ChannelSpec(kind, p, mu) for p, mu in points]
+        cores = os.cpu_count() or 1
+        workers = min(jobs or cores, cores, len(channels))
+        if workers > 1:
+            chunk = max(1, len(channels) // (workers * 8))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                values["sld"] = [f.tolist() for f in pool.map(evaluate, channels, chunksize=chunk)]
+        else:
+            values["sld"] = [evaluate(c).tolist() for c in channels]
+    if method in (Method.CLOSED, Method.BOTH):
+        values["closed"] = _closed_values(kind, ps[:, None], mus[None, :], probe, params)
+    records = _records(probe, kind, points, params, values)
     if config.out is not None:
         write_csv(records, config.out)
     return records
@@ -245,11 +255,31 @@ def _check_jobs(jobs: int | None) -> None:
 
 
 def write_csv(records: list[SweepRecord], path: str | Path) -> None:
+    """Write records under ``CSV_HEADER``.
+
+    Each distinct axis value (r, theta, phi, p, mu) is formatted once per
+    call; a sweep repeats each of them over many rows.
+    """
+    text: dict[float, str] = {}
+
+    def axis(x: float) -> str:
+        s = text.get(x)
+        if s is None:
+            s = _fmt(x)
+            if x:  # 0.0 == -0.0 as keys, so zeros are never memoised
+                text[x] = s
+        return s
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for rec in records:
-        writer.writerow(rec.as_csv_row())
+    writer.writerows(
+        (
+            rec.channel, rec.family, rec.n, axis(rec.r), axis(rec.theta), axis(rec.phi),
+            axis(rec.p), axis(rec.mu), rec.param, rec.method, _fmt(rec.qfi),
+        )
+        for rec in records
+    )
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
@@ -401,19 +431,27 @@ def figure(
 
 def _heatmap_block(
     rows: list[dict[str, str]], value_column: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ps = sorted({float(r["p"]) for r in rows})
-    mus = sorted({float(r["mu"]) for r in rows})
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[str]]]:
+    """Axes, value grid and the values' CSV strings of one (p, mu) group.
+
+    The grids are indexed [mu, p].
+    """
+    points = [(float(r["p"]), float(r["mu"])) for r in rows]
+    ps = sorted({p for p, _ in points})
+    mus = sorted({mu for _, mu in points})
     if len(rows) != len(ps) * len(mus):
         raise ValueError("CSV rows do not form a rectangular (p, mu) grid")
     grid = np.full((len(mus), len(ps)), np.nan)
+    text = [[""] * len(ps) for _ in mus]
     pi = {v: k for k, v in enumerate(ps)}
     mi = {v: k for k, v in enumerate(mus)}
-    for r in rows:
-        grid[mi[float(r["mu"])], pi[float(r["p"])]] = float(r[value_column])
+    for (p, mu), r in zip(points, rows):
+        j, i = mi[mu], pi[p]
+        grid[j, i] = float(r[value_column])
+        text[j][i] = r[value_column]
     if np.isnan(grid).any():
         raise ValueError("CSV rows do not form a rectangular (p, mu) grid")
-    return np.array(ps), np.array(mus), grid
+    return np.array(ps), np.array(mus), grid, text
 
 
 def render_heatmap(
@@ -438,15 +476,16 @@ def render_heatmap(
 
     sections: list[str] = []
     for key, group_rows in groups.items():
-        ps, mus, grid = _heatmap_block(group_rows, value_column)
+        ps, mus, grid, text = _heatmap_block(group_rows, value_column)
         head = (
             f"# channel={key[0]} family={key[1]} n={key[2]} r={key[3]} "
             f"theta={key[4]} phi={key[5]} param={key[6]} method={key[7]}"
         )
         lines = [head, f"# p mu {value_column}"]
+        mu_text = [_fmt(mu) for mu in mus]
         for i, p in enumerate(ps):
-            for j, mu in enumerate(mus):
-                lines.append(f"{_fmt(p)} {_fmt(mu)} {_fmt(grid[j, i])}")
+            p_text = _fmt(p)
+            lines.extend(f"{p_text} {m} {row[i]}" for m, row in zip(mu_text, text))
             lines.append("")
         lo = float(grid.min())
         hi = float(grid.max())

@@ -1,22 +1,25 @@
 import itertools
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from corrqfi.channels import ChannelKind, ChannelSpec, apply_channel
 from corrqfi.closed_form import (
     _block_eigen,
-    _output_derivative,
+    _states,
     _x_eigensystem,
+    _x_matrix,
     closed_form_qfi,
+    closed_form_qfi_grid,
     depolarizing_coefficients,
     flip_coefficients,
     output_density,
     phase_flip_weight,
 )
 from corrqfi.probes import Param, ProbeFamily, ProbeSpec, density, density_derivative
-from corrqfi.qfi import qfi_numeric
+from corrqfi.qfi import SUPPORT_TOL, _qfi_numeric, qfi_numeric
 
 SEED = 20250810
 
@@ -25,6 +28,17 @@ ALL_KINDS = list(ChannelKind)
 
 def phi_plus_density(theta, phi):
     return density(ProbeSpec(ProbeFamily.PHI_PLUS, theta, phi))
+
+
+def output_blocks(channel, theta, phi):
+    """The output's {|00>, |11>} and {|01>, |10>} blocks, shape (2, 2, 2)."""
+    return _states(channel.kind, channel.p, channel.mu, theta, phi)[0]
+
+
+def output_derivative(channel, theta, phi, param):
+    """Exact 4x4 parameter derivative of ``output_density``."""
+    states = _states(channel.kind, channel.p, channel.mu, theta, phi)
+    return _x_matrix(states[1 + list(Param).index(param)])
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +143,9 @@ def test_bit_phase_flip_negates_middle_coherence():
 # ---------------------------------------------------------------------------
 
 def spectrum(kind, theta, phi, p, mu):
-    return _x_eigensystem(output_density(ChannelSpec(kind, p, mu), theta, phi))
+    """Eigenvalues (outer pair, then middle pair) and block eigenvectors."""
+    w, v = _x_eigensystem(output_blocks(ChannelSpec(kind, p, mu), theta, phi))
+    return w.reshape(4), v
 
 
 def test_depolarizing_spectrum_noiseless():
@@ -158,10 +174,10 @@ def test_bitflip_middle_pair_at_quarter_phase():
     theta, p, mu = np.pi / 8, 0.3, 0.4
     _, y, _ = flip_coefficients(p, mu)
     channel = ChannelSpec(ChannelKind.BIT_FLIP, p, mu)
-    w, _ = _x_eigensystem(output_density(channel, theta, np.pi / 2))
+    w, _ = spectrum(ChannelKind.BIT_FLIP, theta, np.pi / 2, p, mu)
     assert w[2] == pytest.approx(y, abs=1e-14)
     assert w[3] == pytest.approx(y, abs=1e-14)
-    d_rho = _output_derivative(channel, theta, np.pi / 2, Param.PHI)
+    d_rho = output_derivative(channel, theta, np.pi / 2, Param.PHI)
     split = np.linalg.eigvalsh(d_rho[1:3, 1:3])
     np.testing.assert_allclose(split, [-y * np.sin(np.pi / 4), y * np.sin(np.pi / 4)], atol=1e-14)
 
@@ -169,9 +185,9 @@ def test_bitflip_middle_pair_at_quarter_phase():
 def test_bitflip_balanced_coefficients():
     x, y, z = flip_coefficients(0.5, 0.0)
     assert (x, y, z) == (pytest.approx(0.25), pytest.approx(0.25), pytest.approx(0.25))
-    rho = output_density(ChannelSpec(ChannelKind.BIT_FLIP, 0.5, 0.0), np.pi / 8, np.pi / 6)
-    w, v = _x_eigensystem(rho)
-    residual = np.max(np.abs(rho @ v - v * w))
+    blocks = output_blocks(ChannelSpec(ChannelKind.BIT_FLIP, 0.5, 0.0), np.pi / 8, np.pi / 6)
+    w, v = _x_eigensystem(blocks)
+    residual = np.max(np.abs(blocks @ v - v * w[..., None, :]))
     assert residual <= 1e-9
 
 
@@ -187,7 +203,7 @@ def test_phaseflip_spectrum_vanishing_coherence():
         np.sort(w), [0.0, 0.0, np.sin(t) ** 2, np.cos(t) ** 2], atol=1e-15
     )
     # diagonal output: the eigenvectors are the basis vectors themselves
-    assert np.array_equal(v, np.eye(4)[:, [0, 3, 1, 2]])
+    assert np.array_equal(v, [np.eye(2), np.eye(2)])
 
 
 def test_phaseflip_spectrum_matches_numeric_diagonalization():
@@ -196,8 +212,9 @@ def test_phaseflip_spectrum_matches_numeric_diagonalization():
         t = float(rng.uniform(0.05, np.pi / 2 - 0.05))
         f = float(rng.uniform(0.05, 2 * np.pi - 0.05))
         p, mu = float(rng.random()), float(rng.random())
-        rho = output_density(ChannelSpec(ChannelKind.PHASE_FLIP, p, mu), t, f)
-        w, _ = _x_eigensystem(rho)
+        channel = ChannelSpec(ChannelKind.PHASE_FLIP, p, mu)
+        w, _ = spectrum(channel.kind, t, f, p, mu)
+        rho = output_density(channel, t, f)
         np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(rho), atol=1e-10)
 
 
@@ -223,7 +240,7 @@ def test_spectra_residuals_and_orthonormality():
                 assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-12
                 total += sum(lams)
             assert total == pytest.approx(1.0, abs=1e-12)
-            assert abs(np.trace(_output_derivative(channel, t, f, param))) <= 1e-10
+            assert abs(np.trace(output_derivative(channel, t, f, param))) <= 1e-10
 
 
 def test_spectra_derivatives_match_finite_differences():
@@ -240,7 +257,7 @@ def test_spectra_derivatives_match_finite_differences():
             channel = ChannelSpec(kind, p, mu)
             probe = ProbeSpec(ProbeFamily.PHI_PLUS, t, f)
             for param in (Param.THETA, Param.PHI):
-                d_rho = _output_derivative(channel, t, f, param)
+                d_rho = output_derivative(channel, t, f, param)
                 if param is Param.THETA:
                     plus = output_density(channel, t + h, f)
                     minus = output_density(channel, t - h, f)
@@ -257,10 +274,10 @@ def test_phase_flip_phi_derivatives_exactly_zero():
     # single coherence component: phi moves only the coherence phase, so the
     # derivative has an exactly zero diagonal and the eigenvalues cannot move
     channel = ChannelSpec(ChannelKind.PHASE_FLIP, 0.3, 0.5)
-    d_rho = _output_derivative(channel, np.pi / 8, 1.234, Param.PHI)
+    d_rho = output_derivative(channel, np.pi / 8, 1.234, Param.PHI)
     assert np.max(np.abs(np.diag(d_rho))) == 0.0
-    w0, _ = _x_eigensystem(output_density(channel, np.pi / 8, 1.234))
-    w1, _ = _x_eigensystem(output_density(channel, np.pi / 8, 2.5))
+    w0, _ = spectrum(channel.kind, np.pi / 8, 1.234, channel.p, channel.mu)
+    w1, _ = spectrum(channel.kind, np.pi / 8, 2.5, channel.p, channel.mu)
     np.testing.assert_allclose(w0, w1, atol=1e-15)
 
 
@@ -361,29 +378,33 @@ def _nudge(x, offset):
 def test_near_singular_scan_stays_physical_and_agrees():
     # every coordinate a small signed offset away from a singular value:
     # theta in {0, pi/4, pi/2}, phi in {0, pi/2, pi}, depolarizing p = 3/4,
-    # flip p = 1/2, mu in {0, 1}; 4608 evaluations per route
+    # flip p = 1/2, mu in {0, 1}; 4608 evaluations per route, the closed
+    # ones in one grid call per channel kind
     gaps = []
-    grid = itertools.product(
-        ALL_KINDS, (0.0, 0.5, 0.75, 1.0), (0.0, 1.0),
-        (0.0, np.pi / 4, np.pi / 2), (0.0, np.pi / 2, np.pi),
-    )
-    for kind, p, mu, theta, phi in grid:
-        for offset in (1e-12, 1e-9, 1e-6, 1e-3):
-            for d in (offset, -offset):
-                channel = ChannelSpec(kind, _nudge(p, d), _nudge(mu, d))
-                t, f = theta + d, phi + d
-                probe = ProbeSpec(ProbeFamily.PHI_PLUS, t, f)
-                for param in Param:
-                    f0 = 4.0 if param is Param.THETA else math.sin(2.0 * t) ** 2
-                    closed = closed_form_qfi(channel, t, f, param)
-                    numeric = qfi_numeric(probe, channel, param)
-                    setting = (kind.value, channel.p, channel.mu, t, f, param.value)
-                    assert -1e-12 <= closed <= f0 + 1e-9, (setting, closed)
-                    assert -1e-12 <= numeric <= f0 + 1e-9, (setting, numeric)
-                    # At 1e-6 an outer-block eigenvalue can sit at SUPPORT_TOL,
-                    # where neither double-precision route resolves it.
-                    if offset != 1e-6 and abs(closed - numeric) > 1e-9:
-                        gaps.append((setting, closed, numeric))
+    for kind in ALL_KINDS:
+        settings = [
+            (_nudge(p, d), _nudge(mu, d), theta + d, phi + d, offset)
+            for p, mu, theta, phi in itertools.product(
+                (0.0, 0.5, 0.75, 1.0), (0.0, 1.0), (0.0, np.pi / 4, np.pi / 2), (0.0, np.pi / 2, np.pi)
+            )
+            for offset in (1e-12, 1e-9, 1e-6, 1e-3)
+            for d in (offset, -offset)
+        ]
+        p, mu, t, f, offsets = (np.array(column) for column in zip(*settings))
+        grid = closed_form_qfi_grid(kind, p, mu, t, f)
+        for k, offset in enumerate(offsets):
+            channel = ChannelSpec(kind, p[k], mu[k])
+            probe = ProbeSpec(ProbeFamily.PHI_PLUS, t[k], f[k])
+            numerics = _qfi_numeric(probe, channel, tuple(Param))
+            for param, closed, numeric in zip(Param, grid[:, k], numerics):
+                f0 = 4.0 if param is Param.THETA else math.sin(2.0 * t[k]) ** 2
+                setting = (kind.value, channel.p, channel.mu, t[k], f[k], param.value)
+                assert -1e-12 <= closed <= f0 + 1e-9, (setting, closed)
+                assert -1e-12 <= numeric <= f0 + 1e-9, (setting, numeric)
+                # At 1e-6 an outer-block eigenvalue can sit at SUPPORT_TOL,
+                # where neither double-precision route resolves it.
+                if offset != 1e-6 and abs(closed - numeric) > 1e-9:
+                    gaps.append((setting, closed, numeric))
     assert not gaps, gaps[:5]
 
 
@@ -396,3 +417,48 @@ def test_near_singular_examples():
     channel = ChannelSpec(ChannelKind.DEPOLARIZING, 0.75 + 1.1e-9, 1.0)
     f = closed_form_qfi(channel, np.pi / 4, np.pi / 2, Param.PHI)
     assert f == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# properties of the grid kernel
+# ---------------------------------------------------------------------------
+
+_unit = st.floats(0.0, 1.0)
+_grids = st.integers(1, 6).flatmap(
+    lambda k: st.tuples(
+        st.sampled_from(ALL_KINDS),
+        *(st.lists(axis, min_size=k, max_size=k).map(np.array)
+          for axis in (_unit, _unit, st.floats(0.0, np.pi / 2), st.floats(0.0, 2 * np.pi)))
+    )
+)
+
+
+def _off_the_cut(kind, p, mu, theta, phi):
+    """True where no eigenvalue pair sum lies within 1e2 * SUPPORT_TOL of the cut."""
+    w, _ = _x_eigensystem(_states(kind, p, mu, theta, phi)[0])
+    w = w.reshape(w.shape[:-2] + (4,))
+    sums = w[..., :, None] + w[..., None, :]
+    return np.all(np.abs(sums - SUPPORT_TOL) > 1e2 * SUPPORT_TOL, axis=(-2, -1))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_grids)
+def test_grid_kernel_properties(grid):
+    kind, p, mu, theta, phi = grid
+    f = closed_form_qfi_grid(kind, p, mu, theta, phi)
+    assert f.shape == (2, len(p))
+    f0 = np.stack([np.full_like(theta, 4.0), np.sin(2.0 * theta) ** 2])
+    assert np.all(f >= -1e-9) and np.all(f <= f0 + 1e-9)
+    off = _off_the_cut(kind, p, mu, theta, phi)
+    for k in range(len(p)):
+        channel = ChannelSpec(kind, p[k], mu[k])
+        for i, param in enumerate(Param):
+            assert abs(f[i, k] - closed_form_qfi(channel, theta[k], phi[k], param)) <= 1e-14
+        if off[k]:
+            probe = ProbeSpec(ProbeFamily.PHI_PLUS, theta[k], phi[k])
+            numeric = _qfi_numeric(probe, channel, tuple(Param))
+            assert np.all(np.abs(f[:, k] - numeric) <= 1e-9), (channel, theta[k], phi[k])
+    if kind in (ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP):
+        mirrored = closed_form_qfi_grid(kind, 1.0 - p, mu, theta, phi)
+        both = off & _off_the_cut(kind, 1.0 - p, mu, theta, phi)
+        assert np.all(np.abs(f - mirrored)[:, both] <= 1e-9)

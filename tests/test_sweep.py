@@ -5,6 +5,7 @@ import pytest
 
 from corrqfi.channels import ChannelKind, ChannelSpec
 from corrqfi.probes import Param, ProbeFamily, ProbeSpec
+from corrqfi.qfi import qfi_numeric
 from corrqfi.sweep import (
     CSV_HEADER,
     Method,
@@ -59,6 +60,28 @@ def test_point_critical_depolarizing_phi():
     # the fully mixed output carries no information on either route
     for rec in records:
         assert rec.qfi == pytest.approx(0.0, abs=1e-9)
+
+
+def test_point_pushes_the_probe_once_for_all_params(monkeypatch):
+    # one channel push and one eigensystem for the state, one push per
+    # derivative; the values equal the one-parameter route's bit for bit
+    import corrqfi.qfi
+
+    calls = {"apply_channel": 0, "eigh": 0}
+    for name in calls:
+        original = getattr(corrqfi.qfi, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(corrqfi.qfi, name, counted)
+    probe = ProbeSpec(ProbeFamily.EWL, np.pi / 8, np.pi / 6, r=0.9, n_qubits=3)
+    channel = ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.4)
+    records = run_point(probe, channel, (Param.THETA, Param.PHI), Method.SLD)
+    assert calls == {"apply_channel": 3, "eigh": 1}
+    monkeypatch.undo()
+    assert [r.qfi for r in records] == [qfi_numeric(probe, channel, p) for p in Param]
 
 
 def test_closed_method_rejected_for_ewl():
@@ -155,6 +178,20 @@ def test_sweep_pool_size_is_bounded(tmp_path, monkeypatch, jobs, count, cores, w
     records = run_sweep(config, jobs=jobs)
     assert RecordingPool.sizes == ([] if workers is None else [workers])
     assert len(records) == count * count * 2 * 2
+
+
+@pytest.mark.parametrize("which", [1, 2, 3, 4])
+def test_figures_and_closed_sweeps_start_no_pool(tmp_path, monkeypatch, which):
+    # closed rows come from one kernel call and figure 4 runs serially, so
+    # only the sld rows of a sweep may use worker processes
+    import corrqfi.sweep
+
+    RecordingPool.sizes = []
+    monkeypatch.setattr(corrqfi.sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(corrqfi.sweep.os, "cpu_count", lambda: 8)
+    figure(which, tmp_path, points=3, jobs=8)
+    run_sweep(small_config(tmp_path, method=Method.CLOSED), jobs=8)
+    assert RecordingPool.sizes == []
 
 
 def test_csv_header_schema(tmp_path):

@@ -7,7 +7,7 @@ Subcommands:
     figure    reproduce one of the four reference-figure data sets
     check     closed-form vs numeric vs finite-difference consistency run
     estimate  Monte-Carlo Cramer-Rao compliance report
-    heatmap   render a sweep CSV as gnuplot blocks + ASCII shade map
+    heatmap   render a CSV written by sweep or figure as a text heatmap
 
 Angles accept tiny arithmetic expressions ("pi/8", "3*pi/4").  A config file
 of ``key = value`` lines (keys equal to the long flag names) can hold any
@@ -29,6 +29,7 @@ from .sweep import (
     SweepConfig,
     cross_check,
     figure,
+    read_csv,
     render_heatmap,
     run_point,
     run_sweep,
@@ -196,7 +197,6 @@ _OPTIONS = {
     "shots": (int, 10000, "measurement repetitions M per trial"),
     "trials": (int, 200, "independent estimation trials"),
     "csv": (str, None, "input CSV produced by the sweep or figure subcommands"),
-    "value": (str, "qfi", "CSV column to render (default qfi)"),
 }
 
 
@@ -320,12 +320,11 @@ def _cmd_estimate(opt: dict[str, object]) -> int:
 
 
 def _cmd_heatmap(opt: dict[str, object]) -> int:
-    text = render_heatmap(str(_require(opt, "csv")), value_column=opt["value"])
     out = opt["out"]
+    text = render_heatmap(read_csv(str(_require(opt, "csv"))), out_path=out)
     if out is None:
         print(text, end="")
     else:
-        Path(out).write_text(text, encoding="utf-8")
         print(f"wrote {out}")
     return 0
 
@@ -353,7 +352,7 @@ _COMMANDS = {
         "Monte-Carlo Cramer-Rao compliance report",
         ["channel", *_PROBE_FLAGS, "p", "mu", "param", "shots", "trials", "seed"],
     ),
-    "heatmap": (_cmd_heatmap, "render a sweep CSV as a text heatmap", ["csv", "value", "out"]),
+    "heatmap": (_cmd_heatmap, "render a sweep or figure CSV as a text heatmap", ["csv", "out"]),
 }
 
 

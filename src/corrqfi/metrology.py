@@ -210,21 +210,19 @@ def likelihood_model(probe: ProbeSpec, channel: ChannelSpec, param: Param) -> Tr
     return TrigLikelihood(a=a, b=(q0 - q2) / 2.0, c=q1 - a, omega=omega)
 
 
-def mle_estimate(
-    counts: np.ndarray, probe: ProbeSpec, channel: ChannelSpec, param: Param
-) -> float:
+def mle_estimate(counts: np.ndarray, likelihood: TrigLikelihood) -> float:
     """Maximum-likelihood value of one parameter from multinomial counts.
 
-    All other parameters are held at their true values in ``probe``.  The
-    likelihood is scanned on a uniform grid over the parameter's natural
-    period and the best cell is refined by one golden-section pass; the
-    procedure is deterministic.  When the likelihood is even in the
-    parameter, the estimate is folded into [0, period / 2].
+    ``likelihood`` comes from ``likelihood_model``, which holds all other
+    parameters at their true values.  It is scanned on a uniform grid over
+    the parameter's natural period and the best cell is refined by one
+    golden-section pass; the procedure is deterministic.  When the
+    likelihood is even in the parameter, the estimate is folded into
+    [0, period / 2].
     """
     counts = np.asarray(counts)
     if counts.sum() <= 0:
         raise ValueError("counts must contain at least one outcome")
-    likelihood = likelihood_model(probe, channel, param)
     period = likelihood.period
     grid = np.linspace(0.0, period, _GRID_POINTS, endpoint=False)
 
@@ -276,6 +274,7 @@ def cramer_rao_report(
     bound = cramer_rao_bound(qfi if qfi > _QFI_FLOOR else 0.0, config.repetitions)
     rho = apply_channel(density(probe), channel)
     probs = outcome_probabilities(rho)
+    likelihood = likelihood_model(probe, channel, param)
 
     estimates = np.empty(config.trials)
     for trial in range(config.trials):
@@ -283,7 +282,7 @@ def cramer_rao_report(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(trial,))
         )
         counts = rng.multinomial(config.repetitions, probs)
-        estimates[trial] = mle_estimate(counts, probe, channel, param)
+        estimates[trial] = mle_estimate(counts, likelihood)
 
     variance = float(np.var(estimates, ddof=1))
     true_value = probe.theta if param is Param.THETA else probe.phi

@@ -2,8 +2,9 @@
 
 Everything here is the CLI-independent machinery behind the command-line
 front end: evaluating QFI over (p, mu) grids, emitting deterministic CSV,
-rendering text heatmaps, and running the closed-form / numeric / finite-
-difference consistency check.
+rendering text heatmaps (of records, or of a CSV written by ``sweep`` or
+``figure``), and running the closed-form / numeric / finite-difference
+consistency check.
 
 CSV rows follow the fixed schema
 
@@ -283,12 +284,29 @@ def write_csv(records: list[SweepRecord], path: str | Path) -> None:
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
-def read_csv(path: str | Path) -> list[dict[str, str]]:
+def read_csv(path: str | Path) -> list[SweepRecord]:
+    """Parse a CSV written by ``write_csv`` back into records.
+
+    Blank lines are skipped.  A row that the csv module rejects, with the
+    wrong field count, a field that does not parse or a qfi outside
+    ``SweepRecord``'s sane range raises ``ValueError`` naming the file and
+    line.
+    """
+    records: list[SweepRecord] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_HEADER:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != CSV_HEADER:
             raise ValueError(f"unexpected CSV header in {path}")
-        return list(reader)
+        try:
+            for row in filter(None, reader):
+                channel, family, n, r, theta, phi, p, mu, param, method, qfi = row
+                records.append(SweepRecord(
+                    channel, family, int(n), float(r), float(theta), float(phi),
+                    float(p), float(mu), param, method, float(qfi),
+                ))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return records
 
 
 @dataclass(frozen=True)
@@ -425,67 +443,49 @@ def figure(
     else:
         raise ValueError("figure number must be 1, 2, 3, or 4")
     write_csv(records, csv_path)
-    render_heatmap(csv_path, out_path=map_path)
+    render_heatmap(records, out_path=map_path)
     return csv_path, map_path
 
 
-def _heatmap_block(
-    rows: list[dict[str, str]], value_column: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[str]]]:
-    """Axes, value grid and the values' CSV strings of one (p, mu) group.
-
-    The grids are indexed [mu, p].
-    """
-    points = [(float(r["p"]), float(r["mu"])) for r in rows]
-    ps = sorted({p for p, _ in points})
-    mus = sorted({mu for _, mu in points})
-    if len(rows) != len(ps) * len(mus):
-        raise ValueError("CSV rows do not form a rectangular (p, mu) grid")
+def _heatmap_block(rows: list[SweepRecord]) -> tuple[list[float], list[float], np.ndarray]:
+    """Sorted p and mu axes and the qfi grid, indexed [mu, p], of one group."""
+    ps = sorted({rec.p for rec in rows})
+    mus = sorted({rec.mu for rec in rows})
     grid = np.full((len(mus), len(ps)), np.nan)
-    text = [[""] * len(ps) for _ in mus]
     pi = {v: k for k, v in enumerate(ps)}
     mi = {v: k for k, v in enumerate(mus)}
-    for (p, mu), r in zip(points, rows):
-        j, i = mi[mu], pi[p]
-        grid[j, i] = float(r[value_column])
-        text[j][i] = r[value_column]
-    if np.isnan(grid).any():
-        raise ValueError("CSV rows do not form a rectangular (p, mu) grid")
-    return np.array(ps), np.array(mus), grid, text
+    for rec in rows:
+        grid[mi[rec.mu], pi[rec.p]] = rec.qfi
+    if len(rows) != grid.size or np.isnan(grid).any():
+        raise ValueError("heatmap rows do not form a rectangular (p, mu) grid")
+    return ps, mus, grid
 
 
-def render_heatmap(
-    csv_path: str | Path,
-    value_column: str = "qfi",
-    out_path: str | Path | None = None,
-) -> str:
-    """Render sweep CSV data as gnuplot blocks plus an ASCII shade map.
+def render_heatmap(records: list[SweepRecord], out_path: str | Path | None = None) -> str:
+    """Render sweep records as gnuplot blocks of qfi plus an ASCII shade map.
 
-    Rows are grouped by everything except (p, mu); each group must form a
-    rectangular grid.  The shade map uses ten gray levels from lightest at
-    the column minimum to darkest at the maximum, with mu decreasing down
-    the rows and p increasing along the columns.
+    Rows are grouped by everything except (p, mu, qfi); each group must form
+    a rectangular grid.  Floats print as in ``write_csv``.  The shade map has
+    ten gray levels, lightest at the group minimum and darkest at its maximum,
+    with mu decreasing down the rows and p increasing along the columns.
     """
-    rows = read_csv(csv_path)
-    if value_column not in CSV_HEADER:
-        raise ValueError(f"unknown value column {value_column!r}")
-    groups: dict[tuple, list[dict[str, str]]] = {}
-    for r in rows:
-        key = (r["channel"], r["family"], r["n"], r["r"], r["theta"], r["phi"], r["param"], r["method"])
-        groups.setdefault(key, []).append(r)
+    groups: dict[tuple, list[SweepRecord]] = {}
+    for rec in records:
+        key = (rec.channel, rec.family, rec.n, rec.r, rec.theta, rec.phi, rec.param, rec.method)
+        groups.setdefault(key, []).append(rec)
 
     sections: list[str] = []
-    for key, group_rows in groups.items():
-        ps, mus, grid, text = _heatmap_block(group_rows, value_column)
+    for (channel, family, n, r, theta, phi, param, method), group_rows in groups.items():
+        ps, mus, grid = _heatmap_block(group_rows)
         head = (
-            f"# channel={key[0]} family={key[1]} n={key[2]} r={key[3]} "
-            f"theta={key[4]} phi={key[5]} param={key[6]} method={key[7]}"
+            f"# channel={channel} family={family} n={n} r={_fmt(r)} "
+            f"theta={_fmt(theta)} phi={_fmt(phi)} param={param} method={method}"
         )
-        lines = [head, f"# p mu {value_column}"]
+        lines = [head, "# p mu qfi"]
         mu_text = [_fmt(mu) for mu in mus]
-        for i, p in enumerate(ps):
+        for p, column in zip(ps, grid.T.tolist()):
             p_text = _fmt(p)
-            lines.extend(f"{p_text} {m} {row[i]}" for m, row in zip(mu_text, text))
+            lines.extend(f"{p_text} {m} {_fmt(v)}" for m, v in zip(mu_text, column))
             lines.append("")
         lo = float(grid.min())
         hi = float(grid.max())

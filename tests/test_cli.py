@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+import corrqfi.sweep
 from corrqfi.cli import main, parse_angle
+from corrqfi.sweep import CSV_HEADER
 
 
 def test_parse_angle_literals():
@@ -74,6 +76,43 @@ def test_sweep_and_heatmap_commands(tmp_path, capsys):
     code = main(["heatmap", "--csv", str(out_csv), "--out", str(out_map)])
     assert code == 0
     assert out_map.read_text().startswith("#")
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("phaseflip,phi+,2,1,0.1,0.2,0,0,theta,sld", "expected 11, got 10"),
+        ("phaseflip,phi+,2,1,0.1,0.2,0,0,theta,sld,four", "could not convert"),
+        ("phaseflip,phi+,2,1,0.1,0.2,0,0,theta,sld,9", "outside the sane range"),
+        ("phaseflip,phi+,2,1,0.1,0.2,0,0,theta,sld," + "4" * 200_000, "field limit"),
+    ],
+    ids=["short-row", "non-numeric-qfi", "qfi-out-of-range", "oversized-field"],
+)
+def test_heatmap_names_the_malformed_line(tmp_path, capsys, row, message):
+    path = tmp_path / "bad.csv"
+    good = "phaseflip,phi+,2,1,0.1,0.2,0,1,theta,sld,4"
+    path.write_text(",".join(CSV_HEADER) + f"\n{good}\n{row}\n", encoding="utf-8")
+    code = main(["heatmap", "--csv", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path}:3:" in err and message in err
+
+
+@pytest.mark.parametrize("which", ["1", "2", "3", "4"])
+def test_heatmap_reproduces_the_figure_heatmap(tmp_path, capsys, which):
+    assert main(["figure", "--which", which, "--points", "3", "--out", str(tmp_path)]) == 0
+    out = tmp_path / "map.txt"
+    assert main(["heatmap", "--csv", str(tmp_path / f"fig{which}.csv"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / f"fig{which}_heatmap.txt").read_bytes()
+
+
+def test_figure_never_reads_its_csv(tmp_path, capsys, monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"figure read {path} back")
+
+    monkeypatch.setattr(corrqfi.sweep, "read_csv", refuse)
+    assert main(["figure", "--which", "2", "--points", "3", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "fig2_heatmap.txt").read_text().startswith("# channel=bitflip")
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -107,7 +107,7 @@ def test_mle_recovers_theta_noiselessly():
     channel = ChannelSpec(ChannelKind.PHASE_FLIP, 0.0, 0.0)
     m = 10**5
     counts = draw_counts(apply_channel(density(probe), channel), m, seed=11)
-    est = mle_estimate(counts, probe, channel, Param.THETA)
+    est = mle_estimate(counts, likelihood_model(probe, channel, Param.THETA))
     assert abs(est - np.pi / 8) <= 3.0 / np.sqrt(m * 4.0)
 
 
@@ -117,7 +117,7 @@ def test_mle_boundary_estimate():
     probe = phi_plus(0.0, np.pi / 2)
     channel = ChannelSpec(ChannelKind.PHASE_FLIP, 0.0, 0.0)
     counts = draw_counts(apply_channel(density(probe), channel), 1000, seed=3)
-    est = mle_estimate(counts, probe, channel, Param.THETA)
+    est = mle_estimate(counts, likelihood_model(probe, channel, Param.THETA))
     assert est == pytest.approx(0.0, abs=1e-9)
 
 
@@ -153,7 +153,7 @@ def test_mle_rejects_empty_counts():
     probe = phi_plus()
     channel = ChannelSpec(ChannelKind.PHASE_FLIP, 0.1, 0.1)
     with pytest.raises(ValueError):
-        mle_estimate(np.zeros(8), probe, channel, Param.THETA)
+        mle_estimate(np.zeros(8), likelihood_model(probe, channel, Param.THETA))
 
 
 def test_independent_seeds_differ():

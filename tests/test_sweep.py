@@ -14,10 +14,10 @@ from corrqfi.sweep import (
     cross_check,
     evaluate_point,
     figure,
+    read_csv,
     render_heatmap,
     run_point,
     run_sweep,
-    write_csv,
 )
 
 SEED = 20250810
@@ -196,7 +196,7 @@ def test_figures_and_closed_sweeps_start_no_pool(tmp_path, monkeypatch, which):
 
 def test_csv_header_schema(tmp_path):
     config = small_config(tmp_path)
-    run_sweep(config, jobs=1)
+    records = run_sweep(config, jobs=1)
     with open(tmp_path / "sweep.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == list(CSV_HEADER)
@@ -204,6 +204,7 @@ def test_csv_header_schema(tmp_path):
     # 17 significant digits round-trip
     value = float(rows[1][-1])
     assert format(value, ".17g") == rows[1][-1]
+    assert read_csv(tmp_path / "sweep.csv") == records
 
 
 def test_sweep_qfi_within_sanity_bounds(tmp_path):
@@ -332,20 +333,17 @@ def _split_heatmap(text):
     return parsed
 
 
-def test_heatmap_constant_column_single_shade(tmp_path):
-    path = tmp_path / "const.csv"
+def test_heatmap_constant_column_single_shade():
     records = [
         SweepRecord("phaseflip", "phi+", 2, 1.0, 0.1, 0.2, p, mu, "theta", "sld", 4.0)
         for p in (0.0, 0.5, 1.0)
         for mu in (0.0, 1.0)
     ]
-    write_csv(records, path)
-    [(_, shades)] = _split_heatmap(render_heatmap(path))
+    [(_, shades)] = _split_heatmap(render_heatmap(records))
     assert shades == [" " * 3, " " * 3]
 
 
-def test_heatmap_scaling_extremes(tmp_path):
-    path = tmp_path / "toy.csv"
+def test_heatmap_scaling_extremes():
     values = iter(range(9))
     records = [
         SweepRecord("phaseflip", "phi+", 2, 1.0, 0.1, 0.2, p, mu, "theta", "sld",
@@ -353,8 +351,7 @@ def test_heatmap_scaling_extremes(tmp_path):
         for p in (0.0, 0.5, 1.0)
         for mu in (0.0, 0.5, 1.0)
     ]
-    write_csv(records, path)
-    [(_, shades)] = _split_heatmap(render_heatmap(path))
+    [(_, shades)] = _split_heatmap(render_heatmap(records))
     assert len(shades) == 3
     # row order is mu descending: max value sits top-right, min bottom-left
     assert shades[0][-1] == "@"
@@ -363,8 +360,7 @@ def test_heatmap_scaling_extremes(tmp_path):
 
 def test_heatmap_gnuplot_blocks(tmp_path):
     config = small_config(tmp_path, method=Method.SLD)
-    run_sweep(config, jobs=1)
-    text = render_heatmap(tmp_path / "sweep.csv")
+    text = render_heatmap(run_sweep(config, jobs=1))
     sections = _split_heatmap(text)
     assert len(sections) == 2  # one per param
     for data, shades in sections:
@@ -373,13 +369,11 @@ def test_heatmap_gnuplot_blocks(tmp_path):
         assert len(shades) == 3
 
 
-def test_heatmap_rejects_non_rectangular(tmp_path):
-    path = tmp_path / "ragged.csv"
+def test_heatmap_rejects_non_rectangular():
     records = [
         SweepRecord("phaseflip", "phi+", 2, 1.0, 0.1, 0.2, 0.0, 0.0, "theta", "sld", 4.0),
         SweepRecord("phaseflip", "phi+", 2, 1.0, 0.1, 0.2, 0.5, 1.0, "theta", "sld", 4.0),
         SweepRecord("phaseflip", "phi+", 2, 1.0, 0.1, 0.2, 1.0, 0.5, "theta", "sld", 4.0),
     ]
-    write_csv(records, path)
     with pytest.raises(ValueError):
-        render_heatmap(path)
+        render_heatmap(records)

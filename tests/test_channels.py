@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -211,6 +212,43 @@ def test_apply_channel_matches_joint_distribution():
                     got = apply_channel(rho, ChannelSpec(kind, p, mu))
                     want = string_sum(rho, kind, p, mu)
                     assert np.max(np.abs(got - want)) <= 1e-13, (n, kind, p, mu)
+
+
+def test_single_flip_channels_are_exact_conjugations():
+    # At p = 1 a flip channel applies one Pauli string; the index flip and
+    # sign grid must reproduce the Kronecker product bit for bit.
+    rng = np.random.default_rng(SEED)
+    for kind, index in ((ChannelKind.BIT_FLIP, 1), (ChannelKind.BIT_PHASE_FLIP, 2),
+                        (ChannelKind.PHASE_FLIP, 3)):
+        for n in range(1, 7):
+            op = np.ones((1, 1), dtype=complex)
+            for _ in range(n):
+                op = np.kron(pauli(index), op)
+            rho = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+            for mu in (0.0, 0.5, 1.0):
+                got = apply_channel(rho, ChannelSpec(kind, 1.0, mu))
+                np.testing.assert_array_equal(got, op @ rho @ op, err_msg=f"{kind} {n} {mu}")
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    st.sampled_from(ALL_KINDS),
+    st.sampled_from([0.0, 0.75, 1.0]) | st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_apply_channel_properties(kind, p, mu, n, seed):
+    rng = np.random.default_rng(seed)
+    rho = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    spec = ChannelSpec(kind, p, mu)
+    before = rho.copy()
+    out = apply_channel(rho, spec)
+    np.testing.assert_array_equal(rho, before)  # the in-place flips work on a copy
+    assert abs(np.trace(out) - np.trace(rho)) <= 1e-13
+    assert np.max(np.abs(out - string_sum(rho, kind, p, mu))) <= 1e-13
+    hermitian = apply_channel(rho + rho.conj().T, spec)
+    assert np.max(np.abs(hermitian - hermitian.conj().T)) <= 1e-13
 
 
 def test_apply_channel_rejects_bad_dimension():

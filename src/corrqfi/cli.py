@@ -168,7 +168,7 @@ _OPTIONS = {
         "amplitude angle in radians; expressions like pi/8 accepted",
     ),
     "phi": (parse_angle, math.pi / 6, "relative phase in radians; expressions accepted"),
-    "r": (float, None, "EWL mixing ratio in [0,1] (default 0.9 for ewl, ignored otherwise)"),
+    "r": (float, None, "EWL mixing ratio in [0,1] (default 0.9); Bell-type probes accept only 1"),
     "n": (int, 2, "number of qubits (EWL only; Bell-type probes are two-qubit)"),
     "p": (float, 0.3, "decoherence strength in [0,1]"),
     "mu": (float, 0.0, "correlation strength in [0,1]"),

@@ -61,8 +61,11 @@ _FREQUENCY = {Param.THETA: 2.0, Param.PHI: 1.0}
 # parameter: they are round-off around an exact zero.
 _EVEN_TOL = 1e-12
 
-# Likelihood scan points per natural period before the golden-section pass.
+# Likelihood scan points per pass, and the passes: each rescan shrinks the
+# spacing 200x, so the fourth reaches about 1e-9, below the ~2e-7 plateau
+# of round-off around the log-likelihood's maximum at M = 1e4.
 _GRID_POINTS = 401
+_PASSES = 4
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -215,43 +218,26 @@ def mle_estimate(counts: np.ndarray, likelihood: TrigLikelihood) -> float:
 
     ``likelihood`` comes from ``likelihood_model``, which holds all other
     parameters at their true values.  It is scanned on a uniform grid over
-    the parameter's natural period and the best cell is refined by one
-    golden-section pass; the procedure is deterministic.  When the
-    likelihood is even in the parameter, the estimate is folded into
-    [0, period / 2].
+    the parameter's natural period, and then ``_PASSES - 1`` times on a
+    grid of the same size over the best point's two neighbouring cells;
+    the estimate is the best point of the last pass.  The spacing there is
+    about 1e-9, below the ~2e-7 to which the log-likelihood (about 1e4 in
+    size at M = 1e4) resolves its maximum at all, so equivalent likelihood
+    formulas can move the estimate by that much.  The procedure is
+    deterministic.  When the likelihood is even in the parameter, the
+    estimate is folded into [0, period / 2].
     """
     counts = np.asarray(counts)
     if counts.sum() <= 0:
         raise ValueError("counts must contain at least one outcome")
     period = likelihood.period
     grid = np.linspace(0.0, period, _GRID_POINTS, endpoint=False)
-
-    def loglik(value: float) -> float:
-        return float(likelihood.log_likelihood(counts, value))
-
     best = int(np.argmax(likelihood.log_likelihood(counts, grid)))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, _GRID_POINTS - 1)]
-
-    # Golden-section maximization on [lo, hi].  60 steps shrink the bracket
-    # far below 1e-13, but the log-likelihood (~1e4 in size at M = 1e4) is
-    # flat to round-off near its maximum, so the estimate resolves only to
-    # about 2e-7; equivalent likelihood formulas can move it that much.
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = loglik(c), loglik(d)
-    for _ in range(60):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = loglik(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = loglik(d)
-    estimate = (a + b) / 2.0
+    for _ in range(_PASSES - 1):
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, _GRID_POINTS - 1)]
+        grid = np.linspace(lo, hi, _GRID_POINTS)
+        best = int(np.argmax(likelihood.log_likelihood(counts, grid)))
+    estimate = float(grid[best])
     if likelihood.even and estimate > period / 2.0:
         estimate = period - estimate
     return estimate

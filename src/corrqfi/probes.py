@@ -56,9 +56,10 @@ class Param(str, Enum):
 class ProbeSpec:
     """Input-state description: family tag plus (theta, phi, r, n_qubits).
 
-    ``r`` only matters for the EWL family; ``None`` resolves to 1.0 for
-    Bell-type probes and to DEFAULT_EWL_RATIO for EWL.  Bell-type probes are
-    two-qubit by definition; EWL supports 2..6 qubits.
+    ``r`` is the EWL mixing ratio; ``None`` resolves to DEFAULT_EWL_RATIO.
+    Bell-type probes are pure, so they accept only ``None`` or 1.0 and
+    record 1.0.  Bell-type probes are two-qubit by definition; EWL supports
+    2..6 qubits.
     """
 
     family: ProbeFamily
@@ -84,6 +85,11 @@ class ProbeSpec:
             if self.n_qubits != 2:
                 raise ValueError(f"{family.value} probes are two-qubit, got n_qubits={self.n_qubits}")
             r = 1.0 if self.r is None else float(self.r)
+            if r != 1.0:
+                raise ValueError(
+                    f"{family.value} probes are pure (r = 1); the mixing ratio r "
+                    f"applies only to the ewl family, got r={r}"
+                )
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"mixing ratio r must lie in [0, 1], got {r}")
         object.__setattr__(self, "r", r)

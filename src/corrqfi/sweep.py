@@ -39,7 +39,6 @@ __all__ = [
     "SweepRecord",
     "CheckReport",
     "CSV_HEADER",
-    "default_method",
     "evaluate_point",
     "run_point",
     "run_sweep",
@@ -129,18 +128,16 @@ def _grid(start: float, stop: float, count: int) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def closed_form_available(probe: ProbeSpec, kind: ChannelKind) -> bool:
-    """Closed forms cover the two-qubit Phi+ probe for all four kinds."""
-    return probe.family is ProbeFamily.PHI_PLUS and probe.n_qubits == 2
+def _resolve_method(probe: ProbeSpec, method: Method | None) -> Method:
+    """The route(s) to run; the default runs both where closed forms exist.
 
-
-def default_method(probe: ProbeSpec, kind: ChannelKind) -> Method:
-    return Method.BOTH if closed_form_available(probe, kind) else Method.SLD
-
-
-def _resolve_method(probe: ProbeSpec, kind: ChannelKind, method: Method | None) -> Method:
-    method = default_method(probe, kind) if method is None else Method(method)
-    if method is not Method.SLD and not closed_form_available(probe, kind):
+    Closed forms cover only the two-qubit phi+ probe, for all four kinds.
+    """
+    closed = probe.family is ProbeFamily.PHI_PLUS
+    if method is None:
+        return Method.BOTH if closed else Method.SLD
+    method = Method(method)
+    if method is not Method.SLD and not closed:
         raise ValueError(
             "closed forms exist only for the two-qubit phi+ probe; "
             "use method=sld for this probe"
@@ -148,24 +145,51 @@ def _resolve_method(probe: ProbeSpec, kind: ChannelKind, method: Method | None) 
     return method
 
 
-def _closed_values(kind: ChannelKind, p, mu, probe: ProbeSpec, params: tuple[Param, ...]) -> list:
-    """Closed-route QFI over broadcast (p, mu) points, as [point][param] floats."""
-    f = closed_form_qfi_grid(kind, p, mu, probe.theta, probe.phi)
-    rows = f[[list(Param).index(param) for param in params]]
-    return rows.reshape(len(params), -1).T.tolist()
-
-
-def _records(
+def _rows(
     probe: ProbeSpec,
     kind: ChannelKind,
-    points: list[tuple[float, float]],
+    ps,
+    mus,
     params: tuple[Param, ...],
-    values: dict[str, list],
+    method: Method | None,
+    jobs: int | None = 1,
 ) -> list[SweepRecord]:
-    """Rows of the (p, mu) ``points``: point order, then param, then method.
+    """Rows over the (p, mu) grid ``ps`` x ``mus``, the one place a route runs.
 
-    ``values`` maps each computed method to its values as [point][param].
+    Row order: p outer, mu inner, then param, then method.  The sld route
+    runs once per point and computes all parameters from one output
+    eigensystem, in a process pool of min(jobs, points, cores) workers when
+    that exceeds 1 (``jobs=None``: all cores); rows are still assembled in
+    canonical order, so output is independent of the worker count.  The
+    closed rows come from one ``closed_form_qfi_grid`` call.  Where both
+    routes run, a gap above ``_BOTH_TOL`` aborts before any row is returned.
     """
+    _check_jobs(jobs)
+    params = tuple(Param(param) for param in params)
+    if len(set(params)) != len(params):
+        raise ValueError(
+            f"parameters must not repeat, got {','.join(param.value for param in params)}"
+        )
+    method = _resolve_method(probe, method)
+    ps, mus = np.asarray(ps, dtype=float), np.asarray(mus, dtype=float)
+    points = [(p, mu) for p in ps.tolist() for mu in mus.tolist()]
+    values: dict[str, list] = {}
+    if method in (Method.SLD, Method.BOTH):
+        evaluate = partial(_qfi_numeric, probe, params=params)
+        channels = [ChannelSpec(kind, p, mu) for p, mu in points]
+        cores = os.cpu_count() or 1
+        workers = min(jobs or cores, cores, len(channels))
+        if workers > 1:
+            chunk = max(1, len(channels) // (workers * 8))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                values["sld"] = [f.tolist() for f in pool.map(evaluate, channels, chunksize=chunk)]
+        else:
+            values["sld"] = [evaluate(c).tolist() for c in channels]
+    if method in (Method.CLOSED, Method.BOTH):
+        f = closed_form_qfi_grid(kind, ps[:, None], mus[None, :], probe.theta, probe.phi)
+        f = f[[list(Param).index(param) for param in params]]
+        values["closed"] = f.reshape(len(params), -1).T.tolist()
+
     head = (kind.value, probe.family.value, probe.n_qubits, probe.r, probe.theta, probe.phi)
     names = [name for name in _METHOD_ORDER if name in values]
     columns = [values[name] for name in names]
@@ -191,18 +215,8 @@ def run_point(
     params: tuple[Param, ...],
     method: Method | None = None,
 ) -> list[SweepRecord]:
-    """QFI at one (probe, channel) point for every parameter and chosen route.
-
-    Each route computes all parameters from one output eigensystem.
-    """
-    params = tuple(Param(param) for param in params)
-    method = _resolve_method(probe, channel.kind, method)
-    values: dict[str, list] = {}
-    if method in (Method.SLD, Method.BOTH):
-        values["sld"] = [_qfi_numeric(probe, channel, params).tolist()]
-    if method in (Method.CLOSED, Method.BOTH):
-        values["closed"] = _closed_values(channel.kind, channel.p, channel.mu, probe, params)
-    return _records(probe, channel.kind, [(channel.p, channel.mu)], params, values)
+    """QFI at one (probe, channel) point for every parameter and chosen route."""
+    return _rows(probe, channel.kind, [channel.p], [channel.mu], params, method)
 
 
 def evaluate_point(
@@ -219,32 +233,13 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> list[SweepRecord]
     """Evaluate the full (p, mu) grid in canonical row order.
 
     Row order: p outer, mu inner, then param, then method.  ``jobs``
-    (default: all cores) must be >= 1.  The closed rows come from one
-    ``closed_form_qfi_grid`` call.  The sld rows are farmed out to a process
-    pool of min(jobs, points, cores) workers when that exceeds 1; rows are
-    still assembled in canonical order, so output is independent of the
-    worker count.
+    (default: all cores) must be >= 1 and bounds the process pool of the
+    sld rows; output is independent of it.
     """
-    _check_jobs(jobs)
-    probe, kind, params = config.probe, config.kind, config.params
-    method = _resolve_method(probe, kind, config.method)
-    ps, mus = _grid(*config.p_grid), _grid(*config.mu_grid)
-    points = [(p, mu) for p in ps.tolist() for mu in mus.tolist()]
-    values: dict[str, list] = {}
-    if method in (Method.SLD, Method.BOTH):
-        evaluate = partial(_qfi_numeric, probe, params=params)
-        channels = [ChannelSpec(kind, p, mu) for p, mu in points]
-        cores = os.cpu_count() or 1
-        workers = min(jobs or cores, cores, len(channels))
-        if workers > 1:
-            chunk = max(1, len(channels) // (workers * 8))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                values["sld"] = [f.tolist() for f in pool.map(evaluate, channels, chunksize=chunk)]
-        else:
-            values["sld"] = [evaluate(c).tolist() for c in channels]
-    if method in (Method.CLOSED, Method.BOTH):
-        values["closed"] = _closed_values(kind, ps[:, None], mus[None, :], probe, params)
-    records = _records(probe, kind, points, params, values)
+    records = _rows(
+        config.probe, config.kind, _grid(*config.p_grid), _grid(*config.mu_grid),
+        config.params, config.method, jobs,
+    )
     if config.out is not None:
         write_csv(records, config.out)
     return records
@@ -437,9 +432,7 @@ def figure(
         for kind in (ChannelKind.DEPOLARIZING, ChannelKind.BIT_FLIP, ChannelKind.PHASE_FLIP):
             for n in (2, 3, 4, 5):
                 probe = ProbeSpec(ProbeFamily.EWL, theta, phi, r=0.9, n_qubits=n)
-                for mu in _grid(0.0, 1.0, count):
-                    channel = ChannelSpec(kind, 0.3, float(mu))
-                    records.extend(run_point(probe, channel, params, Method.SLD))
+                records.extend(_rows(probe, kind, [0.3], _grid(0.0, 1.0, count), params, Method.SLD))
     else:
         raise ValueError("figure number must be 1, 2, 3, or 4")
     write_csv(records, csv_path)

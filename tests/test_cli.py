@@ -54,6 +54,23 @@ def test_point_requires_channel(capsys):
     assert "channel" in capsys.readouterr().err
 
 
+def test_point_rejects_a_mixing_ratio_for_bell_probes(capsys):
+    code = main(["point", "--channel", "bitflip", "--family", "psi+", "--r", "0.5"])
+    assert code == 2
+    assert "only to the ewl family" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_repeated_param(tmp_path, capsys):
+    out_csv = tmp_path / "out.csv"
+    code = main(
+        ["sweep", "--channel", "phaseflip", "--grid-p", "0:1:2", "--grid-mu", "0:1:2",
+         "--param", "theta,theta", "--out", str(out_csv)]
+    )
+    assert code == 2
+    assert "parameters must not repeat" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_sweep_and_heatmap_commands(tmp_path, capsys):
     out_csv = tmp_path / "out.csv"
     code = main(

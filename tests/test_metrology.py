@@ -149,6 +149,49 @@ def test_phi_estimates_stay_on_the_true_branch():
     assert np.all(np.abs(report.estimates - probe.phi) < np.pi / 2)
 
 
+def likelihood_root(counts, likelihood, start):
+    """Root of the exact l'(v) = sum_k n_k p_k'(v) / p_k(v) next to ``start``.
+
+    Float64 Newton steps with the analytic l''; the root is folded like
+    ``mle_estimate`` folds an estimate.
+    """
+    seen = counts > 0
+    n, a, b, c = counts[seen], likelihood.a[seen], likelihood.b[seen], likelihood.c[seen]
+    w = likelihood.omega
+    v = start
+    for _ in range(20):
+        cos, sin = np.cos(w * v), np.sin(w * v)
+        prob = a + b * cos + c * sin
+        slope = w * (c * cos - b * sin) / prob
+        curvature = -w * w * (b * cos + c * sin) / prob - slope**2
+        v -= np.sum(n * slope) / np.sum(n * curvature)
+    if likelihood.even and v > likelihood.period / 2.0:
+        v = likelihood.period - v
+    return v
+
+
+@pytest.mark.parametrize(
+    "probe, channel, param",
+    [
+        (phi_plus(), ChannelSpec(ChannelKind.PHASE_FLIP, 0.3, 0.5), Param.PHI),
+        (phi_plus(), ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.5), Param.THETA),
+        (ProbeSpec(ProbeFamily.EWL, np.pi / 8, np.pi / 6, r=0.9, n_qubits=3),
+         ChannelSpec(ChannelKind.BIT_FLIP, 0.2, 0.6), Param.PHI),
+    ],
+    ids=["phi-phaseflip", "theta-depolarizing", "ewl3-phi-bitflip"],
+)
+def test_mle_lands_on_the_likelihood_maximum(probe, channel, param):
+    # The estimate must sit at the root of the exact score, up to the
+    # ~2e-7 round-off plateau of the log-likelihood at M = 1e4.
+    likelihood = likelihood_model(probe, channel, param)
+    probs = outcome_probabilities(apply_channel(density(probe), channel))
+    rng = np.random.default_rng(SEED)
+    for _ in range(50):
+        counts = rng.multinomial(10**4, probs)
+        estimate = mle_estimate(counts, likelihood)
+        assert abs(estimate - likelihood_root(counts, likelihood, estimate)) <= 2e-6
+
+
 def test_mle_rejects_empty_counts():
     probe = phi_plus()
     channel = ChannelSpec(ChannelKind.PHASE_FLIP, 0.1, 0.1)

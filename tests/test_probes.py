@@ -71,9 +71,10 @@ def test_phi_plus_density_entries_by_hand():
 def test_density_unit_trace_and_psd():
     rng = np.random.default_rng(SEED)
     for family in FAMILIES:
-        n = int(rng.integers(2, 7)) if family is ProbeFamily.EWL else 2
+        ewl = family is ProbeFamily.EWL
+        n = int(rng.integers(2, 7)) if ewl else 2
         spec = ProbeSpec(family, rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi),
-                         r=float(rng.random()), n_qubits=n)
+                         r=float(rng.random()) if ewl else None, n_qubits=n)
         rho = density(spec)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-14
@@ -112,10 +113,11 @@ def test_derivative_matches_finite_difference():
     h = 1e-5
     for _ in range(200):
         family = FAMILIES[rng.integers(len(FAMILIES))]
-        n = int(rng.integers(2, 7)) if family is ProbeFamily.EWL else 2
+        ewl = family is ProbeFamily.EWL
+        n = int(rng.integers(2, 7)) if ewl else 2
         theta = rng.uniform(0, np.pi)
         phi = rng.uniform(0, 2 * np.pi)
-        r = float(rng.random())
+        r = float(rng.random()) if ewl else None
         param = Param.THETA if rng.integers(2) == 0 else Param.PHI
         spec = ProbeSpec(family, theta, phi, r=r, n_qubits=n)
         analytic = density_derivative(spec, param)
@@ -131,6 +133,15 @@ def test_ewl_default_ratio():
     assert ProbeSpec(ProbeFamily.EWL, 0.1, 0.2).r == DEFAULT_EWL_RATIO
     assert ProbeSpec(ProbeFamily.EWL, 0.1, 0.2, r=0.25).r == 0.25
     assert ProbeSpec(ProbeFamily.PHI_PLUS, 0.1, 0.2).r == 1.0
+
+
+@pytest.mark.parametrize("family", FAMILIES[:4])
+def test_bell_probes_accept_only_r_one(family):
+    # a Bell probe is pure, so any other r would be recorded but never used
+    assert ProbeSpec(family, 0.1, 0.2, r=1.0).r == 1.0
+    for r in (0.5, 0.0):
+        with pytest.raises(ValueError, match="only to the ewl family"):
+            ProbeSpec(family, 0.1, 0.2, r=r)
 
 
 def test_spec_validation():

@@ -62,9 +62,9 @@ def test_point_critical_depolarizing_phi():
         assert rec.qfi == pytest.approx(0.0, abs=1e-9)
 
 
-def test_point_pushes_the_probe_once_for_all_params(monkeypatch):
-    # one channel push and one eigensystem for the state, one push per
-    # derivative; the values equal the one-parameter route's bit for bit
+@pytest.fixture
+def qfi_calls(monkeypatch):
+    """Counts of the channel pushes and eigensystems the numeric route makes."""
     import corrqfi.qfi
 
     calls = {"apply_channel": 0, "eigh": 0}
@@ -76,12 +76,50 @@ def test_point_pushes_the_probe_once_for_all_params(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(corrqfi.qfi, name, counted)
+    return calls
+
+
+def test_point_pushes_the_probe_once_for_all_params(qfi_calls, monkeypatch):
+    # one channel push and one eigensystem for the state, one push per
+    # derivative; the values equal the one-parameter route's bit for bit
     probe = ProbeSpec(ProbeFamily.EWL, np.pi / 8, np.pi / 6, r=0.9, n_qubits=3)
     channel = ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.4)
     records = run_point(probe, channel, (Param.THETA, Param.PHI), Method.SLD)
-    assert calls == {"apply_channel": 3, "eigh": 1}
+    assert qfi_calls == {"apply_channel": 3, "eigh": 1}
     monkeypatch.undo()
     assert [r.qfi for r in records] == [qfi_numeric(probe, channel, p) for p in Param]
+
+
+def test_figure4_pushes_each_probe_once_per_point(tmp_path, qfi_calls):
+    figure(4, tmp_path, points=3)
+    points = 3 * 4 * 3  # kinds x qubit numbers x mu values
+    assert qfi_calls == {"apply_channel": 3 * points, "eigh": points}
+
+
+def test_point_rows_equal_sweep_and_figure_rows(tmp_path):
+    # point, sweep and figure rows come from one kernel, so a point's rows
+    # equal the grid's rows there field for field, floats compared with ==
+    config = small_config(tmp_path, kind=ChannelKind.DEPOLARIZING)
+    grid = np.linspace(0.0, 1.0, 3).tolist()
+    point_rows = [
+        row
+        for p in grid
+        for mu in grid
+        for row in run_point(config.probe, ChannelSpec(config.kind, p, mu), config.params,
+                             Method.BOTH)
+    ]
+    assert point_rows == run_sweep(config, jobs=1)
+
+    csv_path, _ = figure(4, tmp_path, points=3)
+    figure_rows = [r for r in read_csv(csv_path) if (r.channel, r.n) == ("bitflip", 3)]
+    probe = ProbeSpec(ProbeFamily.EWL, np.pi / 8, np.pi / 6, r=0.9, n_qubits=3)
+    point_rows = [
+        row
+        for mu in grid
+        for row in run_point(probe, ChannelSpec(ChannelKind.BIT_FLIP, 0.3, mu),
+                             (Param.THETA, Param.PHI), Method.SLD)
+    ]
+    assert point_rows == figure_rows
 
 
 def test_closed_method_rejected_for_ewl():

@@ -17,19 +17,23 @@ and identical configs produce byte-identical output.
 from __future__ import annotations
 
 import csv
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import product
+from operator import itemgetter
 import io
 import math
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .channels import ChannelKind, ChannelSpec
-from .closed_form import closed_form_qfi, closed_form_qfi_grid
+from .closed_form import closed_form_qfi_grid
 from .probes import Param, ProbeFamily, ProbeSpec
 from .qfi import _qfi_numeric, qfi_numeric, qfi_numeric_fd
 
@@ -70,10 +74,21 @@ class Method(str, Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One (channel, probe, p, mu, param, method) -> qfi result row."""
+def _in_range(qfi, n):
+    """Whether qfi lies in the sane range [_QFI_FLOOR, 4n]; NaN does not.
 
+    Works on a scalar (a bool) or elementwise on an array.
+    """
+    return (qfi >= _QFI_FLOOR) & (qfi <= 4.0 * n)
+
+
+def _range_error(qfi: float, n: int) -> str:
+    return f"qfi {qfi} outside the sane range [{_QFI_FLOOR}, {4.0 * n}]"
+
+
+# typing.NamedTuple forbids overriding __new__, so SweepRecord subclasses
+# the fields to check its range on construction.
+class _RecordFields(NamedTuple):
     channel: str
     family: str
     n: int
@@ -86,11 +101,25 @@ class SweepRecord:
     method: str
     qfi: float
 
-    def __post_init__(self) -> None:
-        if not (self.qfi >= _QFI_FLOOR and self.qfi <= 4.0 * self.n):
-            raise ValueError(
-                f"qfi {self.qfi} outside the sane range [{_QFI_FLOOR}, {4.0 * self.n}]"
-            )
+
+class SweepRecord(_RecordFields):
+    """One (channel, probe, p, mu, param, method) -> qfi result row.
+
+    A named tuple.  Construction, ``_make`` and ``_replace`` reject a qfi
+    outside the sane range [-1e-10, 4n].
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        rec = super().__new__(cls, *args, **kwargs)
+        if not _in_range(rec.qfi, rec.n):
+            raise ValueError(_range_error(rec.qfi, rec.n))
+        return rec
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -161,8 +190,9 @@ def _rows(
     eigensystem, in a process pool of min(jobs, points, cores) workers when
     that exceeds 1 (``jobs=None``: all cores); rows are still assembled in
     canonical order, so output is independent of the worker count.  The
-    closed rows come from one ``closed_form_qfi_grid`` call.  Where both
-    routes run, a gap above ``_BOTH_TOL`` aborts before any row is returned.
+    closed rows come from one ``closed_form_qfi_grid`` call.  A gap above
+    ``_BOTH_TOL`` between the routes, or a qfi outside the sane range,
+    aborts before any row is built (``_check_values``).
     """
     _check_jobs(jobs)
     params = tuple(Param(param) for param in params)
@@ -172,41 +202,58 @@ def _rows(
         )
     method = _resolve_method(probe, method)
     ps, mus = np.asarray(ps, dtype=float), np.asarray(mus, dtype=float)
-    points = [(p, mu) for p in ps.tolist() for mu in mus.tolist()]
-    values: dict[str, list] = {}
-    if method in (Method.SLD, Method.BOTH):
+    names = list(_METHOD_ORDER) if method is Method.BOTH else [method.value]
+    columns = []  # one (point, param) array per method
+    if "sld" in names:
         evaluate = partial(_qfi_numeric, probe, params=params)
-        channels = [ChannelSpec(kind, p, mu) for p, mu in points]
+        channels = [ChannelSpec(kind, p, mu) for p in ps.tolist() for mu in mus.tolist()]
         cores = os.cpu_count() or 1
         workers = min(jobs or cores, cores, len(channels))
         if workers > 1:
             chunk = max(1, len(channels) // (workers * 8))
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                values["sld"] = [f.tolist() for f in pool.map(evaluate, channels, chunksize=chunk)]
+                columns.append(np.array(list(pool.map(evaluate, channels, chunksize=chunk))))
         else:
-            values["sld"] = [evaluate(c).tolist() for c in channels]
-    if method in (Method.CLOSED, Method.BOTH):
+            columns.append(np.array([evaluate(c) for c in channels]))
+    if "closed" in names:
         f = closed_form_qfi_grid(kind, ps[:, None], mus[None, :], probe.theta, probe.phi)
         f = f[[list(Param).index(param) for param in params]]
-        values["closed"] = f.reshape(len(params), -1).T.tolist()
+        columns.append(f.reshape(len(params), -1).T)
+    values = np.stack(columns, axis=-1)  # (point, param, method): row order
+    _check_values(values, ps, mus, params, names, probe.n_qubits)
 
+    new = tuple.__new__  # the values passed the range check above
     head = (kind.value, probe.family.value, probe.n_qubits, probe.r, probe.theta, probe.phi)
-    names = [name for name in _METHOD_ORDER if name in values]
-    columns = [values[name] for name in names]
-    records: list[SweepRecord] = []
-    for i, (p, mu) in enumerate(points):
-        for k, param in enumerate(params):
-            row = [column[i][k] for column in columns]
-            gap = max(row) - min(row)  # |sld - closed|, 0 with one method
-            if gap > _BOTH_TOL:
-                raise RuntimeError(
-                    f"sld/closed disagree by {gap:.3e} at p={p} mu={mu} "
-                    f"param={param.value}; refusing to emit inconsistent data"
-                )
-            records.extend(
-                SweepRecord(*head, p, mu, param.value, name, qfi) for name, qfi in zip(names, row)
-            )
-    return records
+    keys = product(ps.tolist(), mus.tolist(), [param.value for param in params], names)
+    return [
+        new(SweepRecord, (*head, p, mu, param, name, qfi))
+        for (p, mu, param, name), qfi in zip(keys, values.ravel().tolist())
+    ]
+
+
+def _check_values(values, ps, mus, params, names, n) -> None:
+    """Reject the first bad row of a (point, param, method) value array.
+
+    A (point, param) whose routes disagree by more than ``_BOTH_TOL`` raises
+    ``RuntimeError``; a qfi outside ``SweepRecord``'s sane range (NaN
+    included) raises ``ValueError``.  Rows are scanned in row order, the gap
+    of a (point, param) before its rows.
+    """
+    gap = values.max(axis=-1) - values.min(axis=-1)  # |sld - closed|, 0 with one method
+    insane = ~_in_range(values, n)
+    bad = (gap > _BOTH_TOL) | insane.any(axis=-1)
+    if not bad.any():
+        return
+    i, k = np.unravel_index(np.argmax(bad), bad.shape)
+    p, mu = ps[i // len(mus)].item(), mus[i % len(mus)].item()
+    where = f"p={p} mu={mu} param={params[k].value}"
+    if gap[i, k] > _BOTH_TOL:
+        raise RuntimeError(
+            f"sld/closed disagree by {gap[i, k]:.3e} at {where}; "
+            "refusing to emit inconsistent data"
+        )
+    j = int(np.argmax(insane[i, k]))
+    raise ValueError(f"{_range_error(values[i, k, j].item(), n)} at {where} method={names[j]}")
 
 
 def run_point(
@@ -250,33 +297,56 @@ def _check_jobs(jobs: int | None) -> None:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
+class _Quoted(dict):
+    """str -> its CSV field text, quoted by the csv module on first use."""
+
+    def __missing__(self, s: str) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((s, ""))  # a lone "" would be quoted
+        text = self[s] = buf.getvalue()[:-2]
+        return text
+
+
+class _FloatText(dict):
+    """float -> ``_fmt`` text, kept for nonzero keys only: 0.0 == -0.0 as keys."""
+
+    def __missing__(self, x: float) -> str:
+        text = _fmt(x)
+        if x:
+            self[x] = text
+        return text
+
+
 def write_csv(records: list[SweepRecord], path: str | Path) -> None:
-    """Write records under ``CSV_HEADER``.
+    """Write records under ``CSV_HEADER``, streaming one line per record.
 
-    Each distinct axis value (r, theta, phi, p, mu) is formatted once per
-    call; a sweep repeats each of them over many rows.
+    The file equals what ``csv.writer(lineterminator="\\n")`` writes for the
+    ``_fmt``-formatted fields.  Each distinct string field is quoted once,
+    by the csv module itself, and each distinct axis float (r, theta, phi,
+    p, mu) is formatted once.  The axis prefix (channel ... mu) is built once
+    per point and reused for that point's param/method rows, as equal
+    nonzero floats print alike.  Zeros are never reused: ``0.0 == -0.0`` as
+    keys, yet they print as ``0`` and ``-0``.
     """
-    text: dict[float, str] = {}
+    quoted, text = _Quoted(), _FloatText()
 
-    def axis(x: float) -> str:
-        s = text.get(x)
-        if s is None:
-            s = _fmt(x)
-            if x:  # 0.0 == -0.0 as keys, so zeros are never memoised
-                text[x] = s
-        return s
+    def lines():
+        yield ",".join(CSV_HEADER) + "\n"
+        key = prefix = None
+        zero = True
+        for rec in records:
+            if zero or rec[:8] != key:
+                key = rec[:8]
+                zero = 0.0 in key
+                channel, family, n, r, theta, phi, p, mu = key
+                prefix = (
+                    f"{quoted[channel]},{quoted[family]},{n},{text[r]},{text[theta]},"
+                    f"{text[phi]},{text[p]},{text[mu]},"
+                )
+            yield f"{prefix}{quoted[rec[8]]},{quoted[rec[9]]},{rec[10]:.17g}\n"
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(
-        (
-            rec.channel, rec.family, rec.n, axis(rec.r), axis(rec.theta), axis(rec.phi),
-            axis(rec.p), axis(rec.mu), rec.param, rec.method, _fmt(rec.qfi),
-        )
-        for rec in records
-    )
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines())
 
 
 def read_csv(path: str | Path) -> list[SweepRecord]:
@@ -351,21 +421,36 @@ def cross_check(
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     kinds = list(ChannelKind)
+    draws = [
+        (
+            kinds[rng.integers(len(kinds))],
+            float(rng.random()),
+            float(rng.random()),
+            float(rng.uniform(0.0, math.pi / 2)),
+            float(rng.uniform(0.0, 2.0 * math.pi)),
+            Param.THETA if rng.integers(2) == 0 else Param.PHI,
+        )
+        for _ in range(samples)
+    ]
+    # closed values: one closed_form_qfi_grid call per channel kind
+    kind_of = np.array([kinds.index(d[0]) for d in draws])
+    row_of = np.array([list(Param).index(d[5]) for d in draws])
+    settings = np.array([d[1:5] for d in draws]).T  # p, mu, theta, phi
+    closed = np.empty(samples)
+    for k, kind in enumerate(kinds):
+        sel = np.flatnonzero(kind_of == k)
+        f = closed_form_qfi_grid(kind, *settings[:, sel])
+        closed[sel] = f[row_of[sel], np.arange(sel.size)]
+
     max_closed = 0.0
     worst_closed: tuple = ()
     max_fd = 0.0
     worst_fd: tuple = ()
-    for _ in range(samples):
-        kind = kinds[rng.integers(len(kinds))]
-        p = float(rng.random())
-        mu = float(rng.random())
-        theta = float(rng.uniform(0.0, math.pi / 2))
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        param = Param.THETA if rng.integers(2) == 0 else Param.PHI
+    for (kind, p, mu, theta, phi, param), closed_value in zip(draws, closed.tolist()):
         probe = ProbeSpec(ProbeFamily.PHI_PLUS, theta, phi)
         channel = ChannelSpec(kind, p, mu)
         numeric = qfi_numeric(probe, channel, param)
-        dev = abs(closed_form_qfi(channel, theta, phi, param) - numeric)
+        dev = abs(closed_value - numeric)
         if dev > max_closed:
             max_closed = dev
             worst_closed = (kind.value, round(p, 6), round(mu, 6), param.value)
@@ -440,18 +525,21 @@ def figure(
     return csv_path, map_path
 
 
-def _heatmap_block(rows: list[SweepRecord]) -> tuple[list[float], list[float], np.ndarray]:
-    """Sorted p and mu axes and the qfi grid, indexed [mu, p], of one group."""
-    ps = sorted({rec.p for rec in rows})
-    mus = sorted({rec.mu for rec in rows})
+def _heatmap_block(rows: list[float]) -> tuple[list[str], list[str], np.ndarray]:
+    """The p and mu axes (sorted, as text) and the qfi grid, indexed [mu, p].
+
+    ``rows`` holds the p, mu, qfi of each row of one group, flattened.  Each
+    axis value prints as its first occurrence, so of 0.0 and -0.0 the first
+    one seen.
+    """
+    p, mu, qfi = np.array(rows, dtype=float).reshape(-1, 3).T
+    ps, p_first = np.unique(p, return_index=True)
+    mus, mu_first = np.unique(mu, return_index=True)
     grid = np.full((len(mus), len(ps)), np.nan)
-    pi = {v: k for k, v in enumerate(ps)}
-    mi = {v: k for k, v in enumerate(mus)}
-    for rec in rows:
-        grid[mi[rec.mu], pi[rec.p]] = rec.qfi
-    if len(rows) != grid.size or np.isnan(grid).any():
+    grid[np.searchsorted(mus, mu), np.searchsorted(ps, p)] = qfi
+    if qfi.size != grid.size or np.isnan(grid).any():
         raise ValueError("heatmap rows do not form a rectangular (p, mu) grid")
-    return ps, mus, grid
+    return [_fmt(x) for x in p[p_first]], [_fmt(x) for x in mu[mu_first]], grid
 
 
 def render_heatmap(records: list[SweepRecord], out_path: str | Path | None = None) -> str:
@@ -462,35 +550,33 @@ def render_heatmap(records: list[SweepRecord], out_path: str | Path | None = Non
     ten gray levels, lightest at the group minimum and darkest at its maximum,
     with mu decreasing down the rows and p increasing along the columns.
     """
-    groups: dict[tuple, list[SweepRecord]] = {}
+    key_of, point_of = itemgetter(0, 1, 2, 3, 4, 5, 8, 9), itemgetter(6, 7, 10)
+    groups: defaultdict[tuple, list[float]] = defaultdict(list)
     for rec in records:
-        key = (rec.channel, rec.family, rec.n, rec.r, rec.theta, rec.phi, rec.param, rec.method)
-        groups.setdefault(key, []).append(rec)
+        groups[key_of(rec)].extend(point_of(rec))
 
+    shades = np.array(list(_SHADES))
     sections: list[str] = []
-    for (channel, family, n, r, theta, phi, param, method), group_rows in groups.items():
-        ps, mus, grid = _heatmap_block(group_rows)
+    for (channel, family, n, r, theta, phi, param, method), rows in groups.items():
+        p_text, mu_text, grid = _heatmap_block(rows)
         head = (
             f"# channel={channel} family={family} n={n} r={_fmt(r)} "
             f"theta={_fmt(theta)} phi={_fmt(phi)} param={param} method={method}"
         )
         lines = [head, "# p mu qfi"]
-        mu_text = [_fmt(mu) for mu in mus]
-        for p, column in zip(ps, grid.T.tolist()):
-            p_text = _fmt(p)
-            lines.extend(f"{p_text} {m} {_fmt(v)}" for m, v in zip(mu_text, column))
+        for p, column in zip(p_text, grid.T.tolist()):
+            lines.extend(f"{p} {mu} {v:.17g}" for mu, v in zip(mu_text, column))
             lines.append("")
         lo = float(grid.min())
         hi = float(grid.max())
         span = hi - lo
         lines.append(f"# shade map: min={_fmt(lo)} max={_fmt(hi)}")
         lines.append("# rows: mu descending; cols: p ascending")
-        for j in range(len(mus) - 1, -1, -1):
-            if span > 0.0:
-                idx = np.rint((grid[j, :] - lo) / span * (len(_SHADES) - 1)).astype(int)
-            else:
-                idx = np.zeros(len(ps), dtype=int)
-            lines.append("".join(_SHADES[k] for k in idx))
+        if span > 0.0:
+            idx = np.rint((grid[::-1] - lo) / span * (len(_SHADES) - 1)).astype(int)
+        else:
+            idx = np.zeros(grid.shape, dtype=int)
+        lines.extend("".join(row) for row in shades[idx].tolist())
         sections.append("\n".join(lines))
     text = "\n\n".join(sections) + "\n"
     if out_path is not None:

@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from corrqfi.sweep import (
     Method,
     SweepConfig,
     SweepRecord,
+    _fmt,
     cross_check,
     evaluate_point,
     figure,
@@ -18,6 +20,7 @@ from corrqfi.sweep import (
     render_heatmap,
     run_point,
     run_sweep,
+    write_csv,
 )
 
 SEED = 20250810
@@ -245,6 +248,33 @@ def test_csv_header_schema(tmp_path):
     assert read_csv(tmp_path / "sweep.csv") == records
 
 
+def test_write_csv_matches_csv_writer(tmp_path):
+    # csv.writer over the _fmt-formatted fields is the oracle; 0.0 and -0.0
+    # are equal keys of one point but print differently, and strings that
+    # need quoting are quoted as the csv module quotes them
+    head = ("phaseflip", "phi+", 2, 1.0, 1e300, 0.2)
+    plain = [
+        SweepRecord(*head, 0.0, -0.0, "theta", "sld", 0.0),
+        SweepRecord(*head, -0.0, 0.0, "theta", "closed", -0.0),
+        SweepRecord(*head, 0.0, 0.0, "phi", "sld", 5e-324),
+        SweepRecord(*head, -0.0, -0.0, "phi", "closed", 8.0),
+        SweepRecord("a,b", 'say "hi"', 2, -0.0, 0.1, 0.0, 0.3, 0.4, "a,b", 'say "hi"', 1e-300),
+        SweepRecord("a,b", 'say "hi"', 2, 0.0, 0.1, -0.0, 0.3, 0.4, "phi", "sld", 2.5),
+    ]
+    records = plain + [
+        SweepRecord("two\nlines", "phi+", 2, 1.0, 0.1, 0.2, 0.3, 0.4, "theta", "sld", 1.0),
+    ]
+    for rows in (records, plain):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for rec in rows:
+            writer.writerow([f if isinstance(f, (str, int)) else _fmt(f) for f in rec])
+        write_csv(rows, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == buf.getvalue().encode("utf-8")
+    assert [repr(rec) for rec in read_csv(tmp_path / "out.csv")] == [repr(rec) for rec in plain]
+
+
 def test_sweep_qfi_within_sanity_bounds(tmp_path):
     records = run_sweep(small_config(tmp_path, kind=ChannelKind.DEPOLARIZING), jobs=1)
     for rec in records:
@@ -257,6 +287,55 @@ def test_record_rejects_insane_qfi():
             channel="phaseflip", family="phi+", n=2, r=1.0, theta=0.1, phi=0.2,
             p=0.1, mu=0.1, param="theta", method="sld", qfi=9.0,
         )
+
+
+def test_record_is_a_named_tuple_that_checks_its_range():
+    fields = ("phaseflip", "phi+", 2, 1.0, 0.1, 0.2, 0.1, 0.1, "theta", "sld", 4.0)
+    rec = SweepRecord(*fields)
+    assert rec == fields and len(rec) == 11 and rec[-1] == rec.qfi == 4.0
+    assert rec._fields == CSV_HEADER
+    assert rec._replace(qfi=8.0).qfi == 8.0
+    with pytest.raises(ValueError, match="outside the sane range"):
+        rec._replace(qfi=9.0)
+    with pytest.raises(ValueError, match="outside the sane range"):
+        SweepRecord._make(fields[:-1] + (float("nan"),))
+
+
+# (closed-route value at the planted cells -> error type, message)
+_PLANTED = {
+    "range": (Method.CLOSED, lambda f: 9.0, ValueError,
+              "qfi 9.0 outside the sane range [-1e-10, 8.0] at p=0.5 mu=1.0 param=phi "
+              "method=closed"),
+    "nan": (Method.CLOSED, lambda f: float("nan"), ValueError,
+            "qfi nan outside the sane range [-1e-10, 8.0] at p=0.5 mu=1.0 param=phi "
+            "method=closed"),
+    "gap": (Method.BOTH, lambda f: f + 1e-3, RuntimeError,
+            "sld/closed disagree by 1.000e-03 at p=0.5 mu=1.0 param=phi; "
+            "refusing to emit inconsistent data"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PLANTED))
+def test_row_checks_name_the_first_offender(tmp_path, monkeypatch, case):
+    # two bad cells: phi at (p, mu) = (0.5, 1.0) comes first in row order,
+    # theta at (1.0, 0.0) has the lower param index but a later point
+    import corrqfi.sweep
+
+    method, plant, error, message = _PLANTED[case]
+    real = corrqfi.sweep.closed_form_qfi_grid
+
+    def planted(*args):
+        f = real(*args).copy()  # (param, p, mu)
+        f[1, 1, 2] = plant(f[1, 1, 2])
+        f[0, 2, 0] = plant(f[0, 2, 0])
+        return f
+
+    monkeypatch.setattr(corrqfi.sweep, "closed_form_qfi_grid", planted)
+    config = small_config(tmp_path, kind=ChannelKind.DEPOLARIZING, method=method)
+    with pytest.raises(error) as excinfo:
+        run_sweep(config, jobs=1)
+    assert str(excinfo.value) == message
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_config_validation():

@@ -3,9 +3,9 @@
 The package provides two independent routes to the QFI of a probe state
 pushed through a classically correlated Pauli channel: a numeric route
 (channel application and a Jacobi eigensystem of the output) and an
-analytic route for the two-qubit phi+ probe (closed-form output state and
-2x2 block eigensystems).  Both end in the same symmetric-logarithmic-
-derivative sum.  Around them sit a Monte-Carlo Cramer-Rao compliance check
+analytic route for every probe (chain sums over the Markov chain and
+closed-form 2x2 block eigensystems).  Both end in the same symmetric-
+logarithmic-derivative sum.  Around them sit a Monte-Carlo Cramer-Rao compliance check
 and a sweep/figure CLI.
 """
 
@@ -17,13 +17,7 @@ from .channels import (
     joint_distribution,
     single_use_distribution,
 )
-from .closed_form import (
-    closed_form_qfi,
-    depolarizing_coefficients,
-    flip_coefficients,
-    output_density,
-    phase_flip_weight,
-)
+from .closed_form import closed_form_qfi, output_density
 from .linalg import EigenSystem, JacobiConvergenceError, eigh, pauli
 from .metrology import (
     EstimationConfig,
@@ -70,10 +64,7 @@ __all__ = [
     "joint_distribution",
     "single_use_distribution",
     "closed_form_qfi",
-    "depolarizing_coefficients",
-    "flip_coefficients",
     "output_density",
-    "phase_flip_weight",
     "EigenSystem",
     "JacobiConvergenceError",
     "eigh",

@@ -16,7 +16,9 @@ The N-qubit action is a probabilistic mixture of Pauli strings,
 with the string probabilities given by the Markov chain product.
 
 The chain's one-step rule is the transfer matrix ``T[i, j] = p(i | j)``,
-built in one place (``transfer_matrix``) and shared by every function here.
+built in one place (``transfer_matrix``, which broadcasts over arrays of p
+and mu) and shared by every function here and by the closed route's chain
+sums.
 ``apply_channel`` never lists the strings: it walks the qubits one at a
 time and keeps one accumulator per last Pauli index,
 
@@ -56,19 +58,25 @@ class ChannelKind(str, Enum):
     PHASE_FLIP = "phaseflip"
 
 
-# Pauli index applied by each flip channel.
-_FLIP_INDEX = {
-    ChannelKind.BIT_FLIP: 1,
-    ChannelKind.BIT_PHASE_FLIP: 2,
-    ChannelKind.PHASE_FLIP: 3,
+# Pauli indices that share the error probability p of each channel kind.
+_ERRORS = {
+    ChannelKind.DEPOLARIZING: slice(1, 4),
+    ChannelKind.BIT_FLIP: slice(1, 2),
+    ChannelKind.BIT_PHASE_FLIP: slice(2, 3),
+    ChannelKind.PHASE_FLIP: slice(3, 4),
 }
 
 
-def _check_unit_interval(value: float, name: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+def _check_unit_interval(value, name: str) -> np.ndarray:
+    """``value`` as a float array, checked elementwise to lie in [0, 1]."""
+    array = np.asarray(value, dtype=float)
+    if array.ndim:
+        low, high = array.min(initial=1.0), array.max(initial=0.0)
+    else:  # min/max cost microseconds, and every channel application checks
+        low = high = float(array)
+    if not (low >= 0.0 and high <= 1.0):  # NaN fails both
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
+    return array
 
 
 @dataclass(frozen=True)
@@ -81,8 +89,8 @@ class ChannelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ChannelKind(self.kind))
-        object.__setattr__(self, "p", _check_unit_interval(self.p, "p"))
-        object.__setattr__(self, "mu", _check_unit_interval(self.mu, "mu"))
+        object.__setattr__(self, "p", float(_check_unit_interval(self.p, "p")))
+        object.__setattr__(self, "mu", float(_check_unit_interval(self.mu, "mu")))
 
 
 @dataclass(frozen=True)
@@ -96,23 +104,27 @@ class JointDistribution:
         return math.fsum(p for _, p in self.terms)
 
 
-def single_use_distribution(kind: ChannelKind, p: float) -> np.ndarray:
-    """Probability 4-vector over Pauli indices for one channel use."""
-    kind = ChannelKind(kind)
+def single_use_distribution(kind: ChannelKind, p) -> np.ndarray:
+    """Probability 4-vectors over Pauli indices for one channel use.
+
+    ``p`` may be an array; the result has shape ``np.shape(p) + (4,)``.
+    """
+    errors = _ERRORS[ChannelKind(kind)]
     p = _check_unit_interval(p, "p")
-    if kind is ChannelKind.DEPOLARIZING:
-        return np.array([1.0 - p, p / 3.0, p / 3.0, p / 3.0])
-    dist = np.zeros(4)
-    dist[0] = 1.0 - p
-    dist[_FLIP_INDEX[kind]] = p
+    dist = np.zeros(p.shape + (4,))
+    dist[..., 0] = 1.0 - p
+    dist[..., errors] = p[..., None] / (errors.stop - errors.start)
     return dist
 
 
-def transfer_matrix(kind: ChannelKind, p: float, mu: float) -> np.ndarray:
-    """Markov step T[i, j] = p(i | previous j) = (1 - mu) p_i + mu delta_ij."""
-    mu = _check_unit_interval(mu, "mu")
+def transfer_matrix(kind: ChannelKind, p, mu) -> np.ndarray:
+    """Markov step T[i, j] = p(i | previous j) = (1 - mu) p_i + mu delta_ij.
+
+    ``p`` and ``mu`` broadcast; the result has shape ``(..., 4, 4)``.
+    """
+    mu = _check_unit_interval(mu, "mu")[..., None, None]
     base = single_use_distribution(kind, p)
-    return (1.0 - mu) * base[:, None] + mu * np.eye(4)
+    return (1.0 - mu) * base[..., :, None] + mu * np.eye(4)
 
 
 def joint_distribution(

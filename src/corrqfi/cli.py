@@ -176,7 +176,7 @@ _OPTIONS = {
         _parse_params, (Param.THETA, Param.PHI),
         "parameter(s) to estimate: theta, phi, or theta,phi",
     ),
-    "method": (Method, None, "sld | closed | both (default: both where closed forms exist)"),
+    "method": (Method, Method.BOTH, "sld | closed | both (default: both)"),
     "grid-p": (_parse_grid, (0.0, 1.0, 101), "p grid as start:stop:count (endpoints inclusive)"),
     "grid-mu": (_parse_grid, (0.0, 1.0, 101), "mu grid as start:stop:count (endpoints inclusive)"),
     "out": (str, None, "output path (CSV, heatmap text, or figure directory)"),

@@ -220,24 +220,31 @@ def mle_estimate(counts: np.ndarray, likelihood: TrigLikelihood) -> float:
     parameters at their true values.  It is scanned on a uniform grid over
     the parameter's natural period, and then ``_PASSES - 1`` times on a
     grid of the same size over the best point's two neighbouring cells;
-    the estimate is the best point of the last pass.  The spacing there is
-    about 1e-9, below the ~2e-7 to which the log-likelihood (about 1e4 in
-    size at M = 1e4) resolves its maximum at all, so equivalent likelihood
-    formulas can move the estimate by that much.  The procedure is
-    deterministic.  When the likelihood is even in the parameter, the
-    estimate is folded into [0, period / 2].
+    the estimate is the best point of the last pass; the first scan's end
+    cells wrap around the period.  The spacing there is about 1e-9, below
+    the ~2e-7 to which the log-likelihood (about 1e4 in size at M = 1e4)
+    resolves its maximum at all, so equivalent likelihood formulas can move
+    the estimate by that much.  The procedure is deterministic.  Estimates
+    lie in [0, period); an even likelihood cannot tell v from period - v,
+    and its estimate is folded into [0, period / 2].
     """
     counts = np.asarray(counts)
     if counts.sum() <= 0:
         raise ValueError("counts must contain at least one outcome")
     period = likelihood.period
     grid = np.linspace(0.0, period, _GRID_POINTS, endpoint=False)
-    best = int(np.argmax(likelihood.log_likelihood(counts, grid)))
+    best = 1 + int(np.argmax(likelihood.log_likelihood(counts, grid)))
+    # Wrapped neighbours of the end points.  For an even likelihood the cell
+    # below 0 mirrors the one above it, so the scan stops at 0 there.
+    below = 0.0 if likelihood.even else grid[-1] - period
+    grid = np.concatenate([[below], grid, [period]])
     for _ in range(_PASSES - 1):
-        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, _GRID_POINTS - 1)]
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
         grid = np.linspace(lo, hi, _GRID_POINTS)
         best = int(np.argmax(likelihood.log_likelihood(counts, grid)))
-    estimate = float(grid[best])
+    estimate = float(grid[best]) % period
+    if estimate == period:  # -1e-20 % period rounds up to the period
+        estimate = 0.0
     if likelihood.even and estimate > period / 2.0:
         estimate = period - estimate
     return estimate

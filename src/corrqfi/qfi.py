@@ -11,9 +11,10 @@ feeds it the Jacobi ``eigh`` of a dense state.  ``_qfi_numeric`` pushes
 the probe through ``apply_channel`` once, diagonalises the output once and
 pushes each parameter's exact derivative through the channel; ``qfi_numeric``
 is its one-parameter case.  The closed-form module feeds the same sum
-(``_qfi_from_eigensystem``) its analytic 2x2 block eigensystems over whole
-grids, so the two routes share the sum and its support cut and nothing
-else.  The sum and the cut take leading batch axes, which broadcast.
+(``_qfi_from_eigensystem``) the analytic 2x2 block eigensystems of any
+probe over whole grids, so the two routes share the sum, its support cut
+and the channel's transfer matrix, and nothing else.  The sum and the cut
+take leading batch axes, which broadcast.
 
 Only the support set of the state contributes.  One helper, ``_support``,
 makes that cut for every route: an eigenvalue pair (i, j) counts when

@@ -4,7 +4,8 @@ Everything here is the CLI-independent machinery behind the command-line
 front end: evaluating QFI over (p, mu) grids, emitting deterministic CSV,
 rendering text heatmaps (of records, or of a CSV written by ``sweep`` or
 ``figure``), and running the closed-form / numeric / finite-difference
-consistency check.
+consistency check.  Every probe has both routes, and a point or sweep runs
+both (``Method.BOTH``) unless told otherwise.
 
 CSV rows follow the fixed schema
 
@@ -131,14 +132,13 @@ class SweepConfig:
     p_grid: tuple[float, float, int]
     mu_grid: tuple[float, float, int]
     params: tuple[Param, ...] = (Param.THETA, Param.PHI)
-    method: Method | None = None
+    method: Method = Method.BOTH
     out: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", ChannelKind(self.kind))
         object.__setattr__(self, "params", tuple(Param(p) for p in self.params))
-        if self.method is not None:
-            object.__setattr__(self, "method", Method(self.method))
+        object.__setattr__(self, "method", Method(self.method))
         for name, grid in (("p", self.p_grid), ("mu", self.mu_grid)):
             start, stop, count = grid
             if count < 2:
@@ -157,30 +157,13 @@ def _grid(start: float, stop: float, count: int) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _resolve_method(probe: ProbeSpec, method: Method | None) -> Method:
-    """The route(s) to run; the default runs both where closed forms exist.
-
-    Closed forms cover only the two-qubit phi+ probe, for all four kinds.
-    """
-    closed = probe.family is ProbeFamily.PHI_PLUS
-    if method is None:
-        return Method.BOTH if closed else Method.SLD
-    method = Method(method)
-    if method is not Method.SLD and not closed:
-        raise ValueError(
-            "closed forms exist only for the two-qubit phi+ probe; "
-            "use method=sld for this probe"
-        )
-    return method
-
-
 def _rows(
     probe: ProbeSpec,
     kind: ChannelKind,
     ps,
     mus,
     params: tuple[Param, ...],
-    method: Method | None,
+    method: Method,
     jobs: int | None = 1,
 ) -> list[SweepRecord]:
     """Rows over the (p, mu) grid ``ps`` x ``mus``, the one place a route runs.
@@ -190,9 +173,9 @@ def _rows(
     eigensystem, in a process pool of min(jobs, points, cores) workers when
     that exceeds 1 (``jobs=None``: all cores); rows are still assembled in
     canonical order, so output is independent of the worker count.  The
-    closed rows come from one ``closed_form_qfi_grid`` call.  A gap above
-    ``_BOTH_TOL`` between the routes, or a qfi outside the sane range,
-    aborts before any row is built (``_check_values``).
+    closed rows, for every probe, come from one ``closed_form_qfi_grid``
+    call.  A gap above ``_BOTH_TOL`` between the routes, or a qfi outside
+    the sane range, aborts before any row is built (``_check_values``).
     """
     _check_jobs(jobs)
     params = tuple(Param(param) for param in params)
@@ -200,7 +183,7 @@ def _rows(
         raise ValueError(
             f"parameters must not repeat, got {','.join(param.value for param in params)}"
         )
-    method = _resolve_method(probe, method)
+    method = Method(method)
     ps, mus = np.asarray(ps, dtype=float), np.asarray(mus, dtype=float)
     names = list(_METHOD_ORDER) if method is Method.BOTH else [method.value]
     columns = []  # one (point, param) array per method
@@ -216,7 +199,10 @@ def _rows(
         else:
             columns.append(np.array([evaluate(c) for c in channels]))
     if "closed" in names:
-        f = closed_form_qfi_grid(kind, ps[:, None], mus[None, :], probe.theta, probe.phi)
+        f = closed_form_qfi_grid(
+            kind, ps[:, None], mus[None, :], probe.theta, probe.phi,
+            probe.family, probe.r, probe.n_qubits,
+        )
         f = f[[list(Param).index(param) for param in params]]
         columns.append(f.reshape(len(params), -1).T)
     values = np.stack(columns, axis=-1)  # (point, param, method): row order
@@ -260,7 +246,7 @@ def run_point(
     probe: ProbeSpec,
     channel: ChannelSpec,
     params: tuple[Param, ...],
-    method: Method | None = None,
+    method: Method = Method.BOTH,
 ) -> list[SweepRecord]:
     """QFI at one (probe, channel) point for every parameter and chosen route."""
     return _rows(probe, channel.kind, [channel.p], [channel.mu], params, method)
@@ -270,7 +256,7 @@ def evaluate_point(
     probe: ProbeSpec,
     channel: ChannelSpec,
     param: Param,
-    method: Method | None = None,
+    method: Method = Method.BOTH,
 ) -> list[SweepRecord]:
     """QFI at a single (probe, channel, param) point for the chosen route(s)."""
     return run_point(probe, channel, (param,), method)
@@ -298,12 +284,16 @@ def _check_jobs(jobs: int | None) -> None:
 
 
 class _Quoted(dict):
-    """str -> its CSV field text, quoted by the csv module on first use."""
+    """str -> its CSV field text, quoted by the csv module on first use.
+
+    The writer's "\r\n" terminator makes it quote a field that holds "\r"
+    as well as one that holds "\n"; ``read_csv`` would split either.
+    """
 
     def __missing__(self, s: str) -> str:
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow((s, ""))  # a lone "" would be quoted
-        text = self[s] = buf.getvalue()[:-2]
+        csv.writer(buf, lineterminator="\r\n").writerow((s, ""))  # a lone "" would be quoted
+        text = self[s] = buf.getvalue()[:-3]
         return text
 
 
@@ -321,11 +311,12 @@ def write_csv(records: list[SweepRecord], path: str | Path) -> None:
     """Write records under ``CSV_HEADER``, streaming one line per record.
 
     The file equals what ``csv.writer(lineterminator="\\n")`` writes for the
-    ``_fmt``-formatted fields.  Each distinct string field is quoted once,
-    by the csv module itself, and each distinct axis float (r, theta, phi,
-    p, mu) is formatted once.  The axis prefix (channel ... mu) is built once
-    per point and reused for that point's param/method rows, as equal
-    nonzero floats print alike.  Zeros are never reused: ``0.0 == -0.0`` as
+    ``_fmt``-formatted fields, except that a string field holding a
+    carriage return is quoted too.  Each distinct string field is quoted
+    once, by the csv module itself, and each distinct axis float (r, theta,
+    phi, p, mu) is formatted once.  The axis prefix (channel ... mu) is
+    built once per point and reused for that point's param/method rows, as
+    equal nonzero floats print alike.  Zeros are never reused: ``0.0 == -0.0`` as
     keys, yet they print as ``0`` and ``-0``.
     """
     quoted, text = _Quoted(), _FloatText()

@@ -121,6 +121,21 @@ def test_mle_boundary_estimate():
     assert est == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("theta", [np.pi / 8, 0.003, np.pi - 0.006, np.pi - 0.003])
+def test_mle_refines_the_end_cells(theta):
+    # Noiseless counts (probabilities x 1e8) put the maximum at the true
+    # value.  The first scan's cells next to 0 and pi wrap around the period
+    # (a clamped rescan gave pi * 400/401 at pi - 0.006 and 0 at pi - 0.003).
+    probe = phi_plus(theta, np.pi / 6)
+    channel = ChannelSpec(ChannelKind.DEPOLARIZING, 0.1, 0.5)
+    likelihood = likelihood_model(probe, channel, Param.THETA)
+    assert not likelihood.even
+    counts = outcome_probabilities(apply_channel(density(probe), channel)) * 1e8
+    estimate = mle_estimate(counts, likelihood)
+    assert 0.0 <= estimate < likelihood.period
+    assert estimate == pytest.approx(theta, abs=1e-6)
+
+
 def test_likelihood_model_matches_channel_outputs():
     rng = np.random.default_rng(SEED)
     ewl = ProbeSpec(ProbeFamily.EWL, np.pi / 8, np.pi / 6, r=0.9, n_qubits=3)

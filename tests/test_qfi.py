@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -6,6 +7,7 @@ from corrqfi.closed_form import closed_form_qfi
 from corrqfi.probes import Param, ProbeFamily, ProbeSpec, density, density_derivative
 from corrqfi.qfi import (
     _qfi_from_eigensystem,
+    _qfi_numeric,
     build_sld,
     cramer_rao_bound,
     qfi_numeric,
@@ -237,3 +239,28 @@ def test_cramer_rao_bound_unbounded_signal():
 def test_cramer_rao_bound_rejects_bad_m():
     with pytest.raises(ValueError):
         cramer_rao_bound(1.0, 0)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    st.sampled_from(list(ChannelKind)),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, np.pi / 2),
+    st.floats(0.0, 2 * np.pi),
+)
+def test_bell_family_invariance(kind, p, mu, theta, phi):
+    # On the dense route: psi+ = (I x X) phi+ and X commutes with a Pauli
+    # channel up to sign, so psi+ has phi+'s QFI; phi- and psi- are phi+ and
+    # psi+ at phi + pi.  The closed route relies on this mapping.
+    channel = ChannelSpec(kind, p, mu)
+    params = tuple(Param)
+    plus = _qfi_numeric(phi_plus(theta, phi), channel, params)
+    shifted = _qfi_numeric(phi_plus(theta, phi + np.pi), channel, params)
+    for family, want in (
+        (ProbeFamily.PSI_PLUS, plus),
+        (ProbeFamily.PHI_MINUS, shifted),
+        (ProbeFamily.PSI_MINUS, shifted),
+    ):
+        got = _qfi_numeric(ProbeSpec(family, theta, phi), channel, params)
+        assert np.all(np.abs(got - want) <= 1e-12), (family, got, want)

@@ -125,18 +125,32 @@ def test_point_rows_equal_sweep_and_figure_rows(tmp_path):
     assert point_rows == figure_rows
 
 
-def test_closed_method_rejected_for_ewl():
-    probe = ProbeSpec(ProbeFamily.EWL, 0.3, 0.4, n_qubits=3)
-    with pytest.raises(ValueError, match="method=sld"):
-        evaluate_point(probe, ChannelSpec(ChannelKind.BIT_FLIP, 0.2, 0.2), Param.THETA, Method.CLOSED)
+def test_closed_method_serves_every_family():
+    # the block route runs for every probe, and its rows agree with the
+    # dense route's (a gap above 1e-6 would abort the rows)
+    channel = ChannelSpec(ChannelKind.BIT_PHASE_FLIP, 0.2, 0.6)
+    probes = [ProbeSpec(family, 0.3, 0.4) for family in ProbeFamily if family is not ProbeFamily.EWL]
+    probes += [ProbeSpec(ProbeFamily.EWL, 0.3, 0.4, r=0.8, n_qubits=n) for n in (2, 3, 6)]
+    for probe in probes:
+        closed = run_point(probe, channel, (Param.THETA, Param.PHI), Method.CLOSED)
+        assert [r.method for r in closed] == ["closed", "closed"]
+        both = run_point(probe, channel, (Param.THETA, Param.PHI), Method.BOTH)
+        assert [r.method for r in both] == ["sld", "closed", "sld", "closed"]
+        assert [r.qfi for r in both[1::2]] == [r.qfi for r in closed]
+        for sld, closed_row in zip(both[::2], closed):
+            assert sld.qfi == pytest.approx(closed_row.qfi, abs=1e-12)
 
 
 def test_default_method_resolution():
+    # method=both for every probe when none is given
     ewl = ProbeSpec(ProbeFamily.EWL, 0.3, 0.4, n_qubits=2)
-    records = run_point(ewl, ChannelSpec(ChannelKind.BIT_FLIP, 0.2, 0.2), (Param.THETA,))
-    assert [r.method for r in records] == ["sld"]
-    records = run_point(phi_plus(), ChannelSpec(ChannelKind.BIT_FLIP, 0.2, 0.2), (Param.THETA,))
-    assert [r.method for r in records] == ["sld", "closed"]
+    psi = ProbeSpec(ProbeFamily.PSI_MINUS, 0.3, 0.4)
+    for probe in (ewl, psi, phi_plus()):
+        records = run_point(probe, ChannelSpec(ChannelKind.BIT_FLIP, 0.2, 0.2), (Param.THETA,))
+        assert [r.method for r in records] == ["sld", "closed"]
+    config = SweepConfig(probe=ewl, kind=ChannelKind.BIT_FLIP, p_grid=(0.0, 1.0, 2),
+                         mu_grid=(0.0, 1.0, 2))
+    assert config.method is Method.BOTH
 
 
 def test_sweep_row_count_and_order(tmp_path):
@@ -273,6 +287,20 @@ def test_write_csv_matches_csv_writer(tmp_path):
         write_csv(rows, tmp_path / "out.csv")
         assert (tmp_path / "out.csv").read_bytes() == buf.getvalue().encode("utf-8")
     assert [repr(rec) for rec in read_csv(tmp_path / "out.csv")] == [repr(rec) for rec in plain]
+
+
+def test_write_csv_round_trips_carriage_returns(tmp_path):
+    # csv.writer(lineterminator="\n") leaves a field holding "\r" bare, and
+    # read_csv would split its row there; write_csv quotes it
+    records = [
+        SweepRecord("x\ry", "phi+", 2, 1.0, 0.1, 0.2, 0.3, 0.4, "theta", "sld", 1.0),
+        SweepRecord("x\r\ny", "a\r", 2, 1.0, 0.1, 0.2, 0.3, 0.4, "phi", "\r", 2.0),
+        SweepRecord("plain", "phi+", 2, 1.0, 0.1, 0.2, 0.3, 0.4, "phi", "sld", 3.0),
+    ]
+    write_csv(records, tmp_path / "cr.csv")
+    text = (tmp_path / "cr.csv").read_bytes().decode("utf-8")
+    assert '"x\ry"' in text and '"\r"' in text and text.endswith(",phi,sld,3\n")
+    assert read_csv(tmp_path / "cr.csv") == records
 
 
 def test_sweep_qfi_within_sanity_bounds(tmp_path):

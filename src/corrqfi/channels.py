@@ -19,13 +19,22 @@ The chain's one-step rule is the transfer matrix ``T[i, j] = p(i | j)``,
 built in one place (``transfer_matrix``, which broadcasts over arrays of p
 and mu) and shared by every function here and by the closed route's chain
 sums.
-``apply_channel`` never lists the strings: it walks the qubits one at a
-time and keeps one accumulator per last Pauli index,
+The private kernel ``_push`` never lists the strings: it pushes a stack of
+K operators through the channel at B (p, mu) points at once.  It builds the
+distribution and transfer matrix once per call, for all points, from p and
+mu that the caller has checked (``ChannelSpec`` checks them for
+``apply_channel``).  It walks the qubits one at a time and keeps one
+accumulator per last Pauli index,
 
     acc'[i] = P_i^(k) (sum_j T[i, j] acc[j]) P_i^(k),
 
 restricted to the indices with p_i > 0 (two for flip channels, four for
-depolarizing noise), so a call costs O(N 4^N) instead of O(8^N 4^N).
+depolarizing noise), so a push costs O(N 4^N) instead of O(8^N 4^N).  Points
+are grouped by that support pattern (p = 0, 0 < p < 1, p = 1) with plain
+masks; each transfer-matrix product keeps the (m, m) @ (m, 4^N) shape of a
+single push, per operator and point, so a stacked push equals the pushes
+one at a time bit for bit and never grows into one large BLAS call.
+``apply_channel`` is its one-operator, one-point case.
 Pauli conjugation is exact, with no complex arithmetic: X and Y flip row
 and column bit k, and Y and Z negate the entries where those bits differ.
 ``joint_distribution`` still enumerates the nonzero strings, for callers
@@ -104,17 +113,27 @@ class JointDistribution:
         return math.fsum(p for _, p in self.terms)
 
 
+def _distribution(kind: ChannelKind, p: np.ndarray) -> np.ndarray:
+    """``single_use_distribution`` of an already checked float array ``p``."""
+    errors = _ERRORS[kind]
+    dist = np.zeros(p.shape + (4,))
+    dist[..., 0] = 1.0 - p
+    dist[..., errors] = p[..., None] / (errors.stop - errors.start)
+    return dist
+
+
+def _transfer(dist: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``transfer_matrix`` from a built distribution and a checked ``mu``."""
+    mu = mu[..., None, None]
+    return (1.0 - mu) * dist[..., :, None] + mu * np.eye(4)
+
+
 def single_use_distribution(kind: ChannelKind, p) -> np.ndarray:
     """Probability 4-vectors over Pauli indices for one channel use.
 
     ``p`` may be an array; the result has shape ``np.shape(p) + (4,)``.
     """
-    errors = _ERRORS[ChannelKind(kind)]
-    p = _check_unit_interval(p, "p")
-    dist = np.zeros(p.shape + (4,))
-    dist[..., 0] = 1.0 - p
-    dist[..., errors] = p[..., None] / (errors.stop - errors.start)
-    return dist
+    return _distribution(ChannelKind(kind), _check_unit_interval(p, "p"))
 
 
 def transfer_matrix(kind: ChannelKind, p, mu) -> np.ndarray:
@@ -122,9 +141,8 @@ def transfer_matrix(kind: ChannelKind, p, mu) -> np.ndarray:
 
     ``p`` and ``mu`` broadcast; the result has shape ``(..., 4, 4)``.
     """
-    mu = _check_unit_interval(mu, "mu")[..., None, None]
-    base = single_use_distribution(kind, p)
-    return (1.0 - mu) * base[..., :, None] + mu * np.eye(4)
+    mu = _check_unit_interval(mu, "mu")
+    return _transfer(single_use_distribution(kind, p), mu)
 
 
 def joint_distribution(
@@ -160,10 +178,8 @@ def apply_channel(rho0: np.ndarray, spec: ChannelSpec) -> np.ndarray:
     """Push an operator through the correlated channel.
 
     ``rho0`` may be any 2^N x 2^N matrix (the map is linear, so derivative
-    matrices go through the same way as states).  Qubit k is handled in one
-    step for all accumulators at once: a matrix product with the transfer
-    matrix mixes them, then an index flip (X, Y) and the sign grid
-    [[1, -1], [-1, 1]] (Y, Z) on bit k conjugate accumulator i by Pauli i.
+    matrices go through the same way as states).  This is the one-operator,
+    one-point case of the stacked kernel ``_push``.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
@@ -172,21 +188,55 @@ def apply_channel(rho0: np.ndarray, spec: ChannelSpec) -> np.ndarray:
     n = dim.bit_length() - 1
     if dim != 2**n or not 1 <= n <= 6:
         raise ValueError(f"dimension {dim} is not 2^N with N in 1..6")
-    base = single_use_distribution(spec.kind, spec.p)
-    support = np.flatnonzero(base)
-    step = transfer_matrix(spec.kind, spec.p, spec.mu)[np.ix_(support, support)]
-    m = len(support)
-    # support is sorted, so the X/Y accumulators and the Y/Z ones are runs.
-    lo, mid, hi = np.searchsorted(support, (1, 2, 3))
+    return _push(rho0[None], spec.kind, np.array([spec.p]), np.array([spec.mu]))[0, 0]
 
-    acc = base[support, None] * rho0.reshape(1, dim * dim)
-    for k in range(n):
-        if k:
-            acc = step @ acc
-        view = acc.reshape(m, 2**k, 2, 2 ** (n - k - 1), 2**k, 2, 2 ** (n - k - 1))
-        if lo < hi:
-            view[lo:hi] = view[lo:hi, :, ::-1, :, :, ::-1]
-        if mid < m:
-            for corner in (view[mid:, :, 0, :, :, 1], view[mid:, :, 1, :, :, 0]):
-                np.negative(corner, out=corner)
-    return acc.sum(axis=0).reshape(dim, dim)
+
+# Bit weights that turn a row of the support mask into one pattern code.
+_PATTERN_BITS = np.array([1, 2, 4, 8])
+
+
+def _push(ops: np.ndarray, kind: ChannelKind, ps: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """Push K operators through the channel at B points in one pass.
+
+    ``ops`` is a (K, 2^N, 2^N) complex stack and ``ps``, ``mus`` are checked
+    float arrays of B points; the result is (B, K, 2^N, 2^N).  The
+    distribution and transfer matrix are built once for all points.  Points
+    are grouped by their support pattern (p = 0, 0 < p < 1, p = 1), and a
+    group of G points keeps (G, K, m, 4^N) accumulators over its m supported
+    Pauli indices.  Qubit k is one step for all of them: a product with the
+    transfer matrix mixes the accumulators ((m, m) @ (m, 4^N) per slice,
+    the shape a single push has), then an index flip (X, Y) and the sign
+    grid [[1, -1], [-1, 1]] (Y, Z) on bit k conjugate accumulator i by
+    Pauli i.
+    """
+    n_ops, dim = ops.shape[0], ops.shape[-1]
+    n = dim.bit_length() - 1
+    base = _distribution(kind, ps)
+    step = _transfer(base, mus)
+    nonzero = base != 0.0
+    pattern = nonzero @ _PATTERN_BITS
+    flat = ops.reshape(1, n_ops, 1, dim * dim)
+    out = np.empty((len(ps), n_ops, dim, dim), dtype=complex)
+    for code in dict.fromkeys(pattern.tolist()):
+        group = pattern == code
+        support = np.flatnonzero(nonzero[np.argmax(group)])
+        m = len(support)
+        # support is sorted, so the X/Y accumulators and the Y/Z ones are runs.
+        lo, mid, hi = np.searchsorted(support, (1, 2, 3))
+        weights = base[group][:, support]
+        mix = step[group][:, support[:, None], support][:, None]
+        acc = weights[:, None, :, None] * flat
+        shape = acc.shape[:3]
+        for k in range(n):
+            if k:
+                acc = mix @ acc
+            view = acc.reshape(*shape, 2**k, 2, 2 ** (n - k - 1), 2**k, 2, 2 ** (n - k - 1))
+            if lo < hi:
+                view[:, :, lo:hi] = view[:, :, lo:hi, :, ::-1, :, :, ::-1]
+            if mid < m:
+                for row, col in ((0, 1), (1, 0)):
+                    corner = view[:, :, mid:, :, row, :, :, col]
+                    np.negative(corner, out=corner)
+                del corner  # a live view would hold this acc through the next product
+        out[group] = acc.sum(axis=2).reshape(-1, n_ops, dim, dim)
+    return out

@@ -10,11 +10,28 @@ eigenvalues that the Fisher-information support logic depends on.  Just
 past the phase flip's theta = pi/2, where F_theta = 4 exactly, Jacobi keeps
 the numeric route within 4e-15 of 4 while numpy's LAPACK ``eigh`` misses by
 up to 9e-6 (``tests/test_qfi.py``).
+
+The Jacobi iteration runs on stacks: the private ``_eigh_stack`` takes
+(B, n, n) and ``eigh`` is its B = 1 case.  Each matrix keeps its own scale,
+tolerance and convergence test and stops sweeping once converged, and each
+round rotates only the (matrix, pair) entries above that matrix's skip
+threshold; skipped pairs are left untouched, not rotated by the identity.
+So a matrix gets the same bits in any stack as alone.  The rotation
+scalars are computed elementwise so that they equal a scalar Python
+computation bit for bit:
+
+- |a_pq| is ``np.hypot(re, im)``, as Python's ``abs(complex)`` (``np.abs``
+  of a complex differs);
+- the phase divides each part by r, as CPython's complex / float does
+  (numpy's complex / real multiplies by 1/r);
+- hypot(theta, 1) comes from ``math.hypot``, because ``np.hypot`` differs
+  from it in about 7e-4 of cases.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import repeat
 import math
 from typing import NamedTuple
 
@@ -66,11 +83,6 @@ def pauli(index: int) -> np.ndarray:
     return _PAULI[index].copy()
 
 
-def _max_offdiag(a: np.ndarray) -> float:
-    off = np.abs(a - np.diag(np.diag(a)))
-    return float(off.max())
-
-
 @cache
 def _round_robin_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Tournament schedule: every index pair exactly once, rounds disjoint.
@@ -92,30 +104,55 @@ def _round_robin_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rounds)
 
 
-def _rotation(apq: complex, app: float, aqq: float) -> tuple[float, complex]:
-    """Jacobi (c, s) zeroing the (p, q) element of a Hermitian 2x2 block."""
-    r = abs(apq)
-    phase = apq / r
+@cache
+def _round_indices(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """``_round_robin_pairs(n)`` as (p, q, p*n + q) index arrays per round."""
+    rounds = []
+    for pairs in _round_robin_pairs(n):
+        ps, qs = np.array(pairs).T
+        for index in (ps, qs):
+            index.flags.writeable = False
+        flat = ps * n + qs
+        flat.flags.writeable = False
+        rounds.append((ps, qs, flat))
+    return tuple(rounds)
+
+
+def _rotations(
+    apq: np.ndarray, r: np.ndarray, app: np.ndarray, aqq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi (c, s) zeroing the (p, q) elements of Hermitian 2x2 blocks.
+
+    Elementwise over flat arrays; ``r`` is |a_pq| as ``np.hypot`` of its
+    parts, which equals Python's ``abs(complex)``.  Each scalar is the one a
+    scalar Python rotation gives, bit for bit: the phase divides each part
+    by r, as CPython's complex / float does (numpy's complex / real
+    multiplies by 1/r instead), and hypot(theta, 1) comes from
+    ``math.hypot``, which differs from ``np.hypot`` in the last bit in
+    about 7e-4 of cases.
+    """
+    re, im = apq.real, apq.imag
+    phase = np.empty(apq.shape, dtype=complex)
+    phase.real = (re + im * 0.0) / r  # CPython's quotient by (r, 0), signed zeros included
+    phase.imag = (im - re * 0.0) / r
     theta = (aqq - app) / (2.0 * r)
-    if abs(theta) > 1e12:
-        t = 1.0 / (2.0 * theta)
-    elif theta == 0.0:
-        t = 1.0
-    else:
-        t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
+    hyp = np.fromiter(map(math.hypot, theta.tolist(), repeat(1.0)), float, theta.size)
+    t = np.copysign(1.0, theta) / (np.abs(theta) + hyp)
+    big = np.abs(theta) > 1e12
+    t[big] = 1.0 / (2.0 * theta[big])
+    t[theta == 0.0] = 1.0
+    c = 1.0 / np.sqrt(t * t + 1.0)
     return c, t * c * phase
 
 
 def eigh(h: np.ndarray) -> EigenSystem:
     """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
 
-    One sweep visits every index pair once, following a round-robin order so
-    that the rotations of a round act on disjoint pairs and can be applied
-    as a single unitary.  The input must be Hermitian within
-    HERMITICITY_TOL (max element of ``h - h^dag``).  Eigenvalues come back
-    ascending with a stable tie order; eigenvector columns are orthonormal
-    to machine precision because they accumulate exact unitary rotations.
+    The one-matrix case of ``_eigh_stack``.  The input must be Hermitian
+    within HERMITICITY_TOL (max element of ``h - h^dag``).  Eigenvalues come
+    back ascending with a stable tie order; eigenvector columns are
+    orthonormal to machine precision because they accumulate exact unitary
+    rotations.
 
     Raises:
         ValueError: non-square, non-finite, or non-Hermitian input, or a
@@ -125,70 +162,85 @@ def eigh(h: np.ndarray) -> EigenSystem:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"eigh expects a square matrix, got shape {h.shape}")
-    n = h.shape[0]
+    w, v = _eigh_stack(h[None])
+    return EigenSystem(w[0], v[0])
+
+
+def _eigh_stack(h: np.ndarray) -> EigenSystem:
+    """Cyclic Jacobi on a (B, n, n) stack of Hermitian matrices.
+
+    One sweep visits every index pair once, following a round-robin order so
+    that the rotations of a round act on disjoint pairs and can be applied
+    at once.  Each matrix keeps its own scale, tolerance and convergence
+    test and leaves the sweeps once converged, so its result does not depend
+    on the rest of the stack: every matrix gets exactly the rotations, and
+    the bits, that it would get alone.  A round rotates the (matrix, pair)
+    entries above the matrix's skip threshold and leaves the others
+    untouched.  Returns (B, n) ascending eigenvalues and (B, n, n)
+    eigenvectors; raises as ``eigh`` does.
+    """
+    n = h.shape[-1]
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds the {MAX_DIM} capacity")
     if not np.all(np.isfinite(h)):
         raise ValueError("eigh input contains non-finite entries")
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
+    h_dag = np.swapaxes(h.conj(), -1, -2)
+    if np.max(np.abs(h - h_dag)) > HERMITICITY_TOL:
         raise ValueError("eigh input is not Hermitian within tolerance")
 
-    a = 0.5 * (h + h.conj().T)  # exact symmetrization of the tolerated drift
-    v = np.eye(n, dtype=complex)
+    a = 0.5 * (h + h_dag)  # exact symmetrization of the tolerated drift
+    v = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
     if n == 1:
-        return EigenSystem(np.diag(a).real.copy(), v)
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return EigenSystem(np.zeros(n), v)
+        return EigenSystem(a[:, :, 0].real.copy(), v)
+    scale = np.max(np.abs(a), axis=(-2, -1))
     tol = 1e-14 * scale
     skip = 0.01 * tol
-    rounds = _round_robin_pairs(n)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    entries = a.reshape(-1)  # a is contiguous and updated in place
 
+    live = np.arange(len(a))
     for sweep in range(MAX_SWEEPS + 1):
-        if _max_offdiag(a) <= tol:
+        off = np.max(np.abs(a[live]), axis=(-2, -1), where=off_diagonal, initial=0.0)
+        live = live[off > tol[live]]
+        if not live.size:
             break
         if sweep == MAX_SWEEPS:
             raise JacobiConvergenceError(
                 f"no convergence after {MAX_SWEEPS} sweeps (n={n})"
             )
-        for pairs in rounds:
-            ps: list[int] = []
-            qs: list[int] = []
-            cs: list[float] = []
-            ss: list[complex] = []
-            for p, q in pairs:
-                apq = complex(a[p, q])
-                if abs(apq) <= skip:
-                    continue
-                c, s = _rotation(apq, a[p, p].real, a[q, q].real)
-                ps.append(p)
-                qs.append(q)
-                cs.append(c)
-                ss.append(s)
-            if not ps:
+        first, limit = live[:, None] * (n * n), skip[live, None]
+        for ps, qs, flat in _round_indices(n):
+            apq = entries[first + flat]
+            r = np.hypot(apq.real, apq.imag)
+            rotate = r > limit
+            m, k = np.nonzero(rotate)
+            if not k.size:
                 continue
-            # The pairs of a round are disjoint, so all rotations apply as
-            # one unitary J (J[p,p]=J[q,q]=c, J[p,q]=s, J[q,p]=-conj(s)):
-            # columns give A J, rows give J^dag (A J), and V accumulates V J.
-            c_row = np.asarray(cs)
-            s_row = np.asarray(ss)
-            ap = a[:, ps]
-            aq = a[:, qs]
-            a[:, ps] = ap * c_row - aq * s_row.conj()
-            a[:, qs] = ap * s_row + aq * c_row
-            c_col = c_row[:, None]
-            s_col = s_row[:, None]
-            rp = a[ps, :]
-            rq = a[qs, :]
-            a[ps, :] = rp * c_col - rq * s_col
-            a[qs, :] = rp * s_col.conj() + rq * c_col
-            a[ps, qs] = 0.0
-            a[qs, ps] = 0.0
-            vp = v[:, ps]
-            vq = v[:, qs]
-            v[:, ps] = vp * c_row - vq * s_row.conj()
-            v[:, qs] = vp * s_row + vq * c_row
+            # The pairs of a matrix's round are disjoint, so its rotations
+            # apply as one unitary J (J[p,p]=J[q,q]=c, J[p,q]=s,
+            # J[q,p]=-conj(s)): columns give A J, rows give J^dag (A J), and
+            # V accumulates V J.  Each (matrix, pair) entry is one rotation.
+            m, p, q = live[m], ps[k], qs[k]
+            c, s = _rotations(apq[rotate], r[rotate], a[m, p, p].real, a[m, q, q].real)
+            c_col, s_col = c[:, None], s[:, None]
+            ap = a[m, :, p]
+            aq = a[m, :, q]
+            a[m, :, p] = ap * c_col - aq * s_col.conj()
+            a[m, :, q] = ap * s_col + aq * c_col
+            rp = a[m, p, :]
+            rq = a[m, q, :]
+            a[m, p, :] = rp * c_col - rq * s_col
+            a[m, q, :] = rp * s_col.conj() + rq * c_col
+            a[m, p, q] = 0.0
+            a[m, q, p] = 0.0
+            vp = v[m, :, p]
+            vq = v[m, :, q]
+            v[m, :, p] = vp * c_col - vq * s_col.conj()
+            v[m, :, q] = vp * s_col + vq * c_col
 
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return EigenSystem(w[order], v[:, order])
+    w = np.diagonal(a, axis1=-2, axis2=-1).real.copy()
+    w[scale == 0.0] = 0.0  # +0 for a zero matrix, whatever the signs of its zeros
+    order = np.argsort(w, axis=-1, kind="stable")
+    return EigenSystem(
+        np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[:, None, :], axis=-1)
+    )

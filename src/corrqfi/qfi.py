@@ -7,10 +7,18 @@ eigensystem (lam_i, |i>) of the state,
 
 It needs no eigenvector derivatives, so it is safe under spectral
 degeneracies and independent of the eigenvectors' phases.  ``qfi_sld``
-feeds it the Jacobi ``eigh`` of a dense state.  ``_qfi_numeric`` pushes
-the probe through ``apply_channel`` once, diagonalises the output once and
-pushes each parameter's exact derivative through the channel; ``qfi_numeric``
-is its one-parameter case.  The closed-form module feeds the same sum
+feeds it the Jacobi ``eigh`` of a dense state.  The dense numeric route
+works over whole sets of (p, mu) points: ``_qfi_numeric`` builds the probe
+and its exact parameter derivatives once, then per chunk of points runs one
+stacked channel push (``channels._push``), one Hermiticity check, one
+stacked Jacobi (``linalg._eigh_stack``) and one SLD sum.  A chunk holds
+max(1, _CHUNK_BYTES // bytes per point) points, where a point's bytes are
+the push's accumulators (4 Pauli indices per operator and point), so the
+accumulators stay within 512 KiB up to N = 5; at N = 6 one point (768 KiB
+with three operators) is a chunk.  Every kernel keeps the per-slice shapes of a single point, so a
+point's values are bit-identical whatever chunk it lands in, and equal
+``qfi_numeric``, the one-point, one-parameter case (two ``apply_channel``
+calls and one ``eigh``).  The closed-form module feeds the same sum
 (``_qfi_from_eigensystem``) the analytic 2x2 block eigensystems of any
 probe over whole grids, so the two routes share the sum, its support cut
 and the channel's transfer matrix, and nothing else.  The sum and the cut
@@ -29,8 +37,8 @@ import math
 
 import numpy as np
 
-from .channels import ChannelSpec, apply_channel
-from .linalg import HERMITICITY_TOL, eigh
+from .channels import ChannelKind, ChannelSpec, _check_unit_interval, _push, apply_channel
+from .linalg import HERMITICITY_TOL, _eigh_stack, eigh
 from .probes import Param, ProbeSpec, density, density_derivative
 
 __all__ = [
@@ -47,15 +55,26 @@ __all__ = [
 # what counts as "outside".
 SUPPORT_TOL = 1e-12
 
+# Working-set budget of one chunk of ``_qfi_numeric``: the stacked push
+# holds up to 4 accumulators per operator and point, so a chunk takes
+# max(1, budget // (16 * 4 * operators * 4^N)) points.  On the numeric-route
+# benchmark a 1 MiB budget ran faster but raised the peak RSS by about 10%
+# over per-point pushes; 512 KiB keeps it within 5%.
+_CHUNK_BYTES = 1 << 19
+
 # Central-difference step of the finite-difference oracle.
 FD_STEP = 1e-5
 
 
 def _require_hermitian(m: np.ndarray, name: str) -> np.ndarray:
+    """``m`` as a complex array of square matrices, checked Hermitian.
+
+    ``m`` may carry leading batch axes.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+    if np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) > HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian within tolerance")
     return m
 
@@ -107,26 +126,45 @@ def build_sld(rho: np.ndarray, d_rho: np.ndarray) -> np.ndarray:
     return v @ (2.0 * t / safe) @ v.conj().T
 
 
-def _qfi_numeric(probe: ProbeSpec, channel: ChannelSpec, params: tuple[Param, ...]) -> np.ndarray:
-    """QFI of the channel output for each parameter in ``params``, fully numeric.
+def _qfi_numeric(
+    probe: ProbeSpec, kind: ChannelKind, ps, mus, params: tuple[Param, ...]
+) -> np.ndarray:
+    """QFI of the channel output at each (p, mu) point for each parameter, fully numeric.
 
-    The probe goes through the channel once and its output is diagonalised
-    once.  The channel is linear and parameter independent, so each exact
-    analytic probe derivative is pushed through it directly and summed over
-    that one eigensystem.
+    ``ps`` and ``mus`` are flat arrays of the points; the result is
+    (points, params).  The probe and its exact analytic derivatives are
+    built once.  The channel is linear and parameter independent, so per
+    chunk of points they go through one stacked push, the outputs through
+    one stacked Jacobi, and each derivative is summed over its point's
+    eigensystem.  A point's values do not depend on the chunk it lands in.
     """
-    rho = _require_hermitian(apply_channel(density(probe), channel), "rho")
-    d_rho = np.stack([
-        _require_hermitian(apply_channel(density_derivative(probe, param), channel), "d_rho")
-        for param in params
-    ])
-    w, v = eigh(rho)
-    return _qfi_from_eigensystem(w, v, d_rho)
+    kind = ChannelKind(kind)
+    ps = _check_unit_interval(ps, "p").ravel()
+    mus = _check_unit_interval(mus, "mu").ravel()
+    ops = np.stack([density(probe), *(density_derivative(probe, param) for param in params)])
+    per_chunk = max(1, _CHUNK_BYTES // (ops.size * 4 * 16))
+    out = np.empty((len(ps), len(params)))
+    for start in range(0, len(ps), per_chunk):
+        chunk = slice(start, start + per_chunk)
+        pushed = _push(ops, kind, ps[chunk], mus[chunk])
+        rho = _require_hermitian(pushed[:, 0], "rho")
+        d_rho = _require_hermitian(pushed[:, 1:], "d_rho")
+        w, v = _eigh_stack(rho)
+        out[chunk] = _qfi_from_eigensystem(w[:, None], v[:, None], d_rho)
+        del pushed, rho, d_rho, w, v  # free this chunk before the next push
+    return out
 
 
 def qfi_numeric(probe: ProbeSpec, channel: ChannelSpec, param: Param) -> float:
-    """QFI of the channel output, fully numeric (``_qfi_numeric`` for one parameter)."""
-    return float(_qfi_numeric(probe, channel, (param,))[0])
+    """QFI of the channel output, fully numeric.
+
+    One push of the probe and one of its derivative, one ``eigh``: the
+    one-point, one-parameter case of ``_qfi_numeric``, equal to it bit for bit.
+    """
+    rho = _require_hermitian(apply_channel(density(probe), channel), "rho")
+    d_rho = _require_hermitian(apply_channel(density_derivative(probe, param), channel), "d_rho")
+    w, v = eigh(rho)
+    return float(_qfi_from_eigensystem(w, v, d_rho))
 
 
 def qfi_numeric_fd(probe: ProbeSpec, channel: ChannelSpec, param: Param) -> float:

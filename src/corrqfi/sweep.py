@@ -33,9 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ChannelKind, ChannelSpec
-from .closed_form import closed_form_qfi_grid
-from .probes import Param, ProbeFamily, ProbeSpec
+from .channels import ChannelKind, ChannelSpec, apply_channel
+from .closed_form import closed_form_qfi_grid, output_density
+from .probes import Param, ProbeFamily, ProbeSpec, density
 from .qfi import _qfi_numeric, qfi_numeric, qfi_numeric_fd
 
 __all__ = [
@@ -168,14 +168,16 @@ def _rows(
 ) -> list[SweepRecord]:
     """Rows over the (p, mu) grid ``ps`` x ``mus``, the one place a route runs.
 
-    Row order: p outer, mu inner, then param, then method.  The sld route
-    runs once per point and computes all parameters from one output
-    eigensystem, in a process pool of min(jobs, points, cores) workers when
-    that exceeds 1 (``jobs=None``: all cores); rows are still assembled in
-    canonical order, so output is independent of the worker count.  The
-    closed rows, for every probe, come from one ``closed_form_qfi_grid``
-    call.  A gap above ``_BOTH_TOL`` between the routes, or a qfi outside
-    the sane range, aborts before any row is built (``_check_values``).
+    Row order: p outer, mu inner, then param, then method.  The sld rows
+    come from one ``_qfi_numeric`` call over the grid's points, which takes
+    all parameters from each point's one output eigensystem.  With a process
+    pool of min(jobs, points, cores) workers, when that exceeds 1
+    (``jobs=None``: all cores), the workers map contiguous chunks of the
+    points instead; a point's values do not depend on its chunk, so output
+    is independent of the worker count.  The closed rows, for every probe,
+    come from one ``closed_form_qfi_grid`` call.  A gap above ``_BOTH_TOL``
+    between the routes, or a qfi outside the sane range, aborts before any
+    row is built (``_check_values``).
     """
     _check_jobs(jobs)
     params = tuple(Param(param) for param in params)
@@ -188,16 +190,21 @@ def _rows(
     names = list(_METHOD_ORDER) if method is Method.BOTH else [method.value]
     columns = []  # one (point, param) array per method
     if "sld" in names:
-        evaluate = partial(_qfi_numeric, probe, params=params)
-        channels = [ChannelSpec(kind, p, mu) for p in ps.tolist() for mu in mus.tolist()]
+        points = len(ps) * len(mus)
+        grid_p, grid_mu = np.repeat(ps, len(mus)), np.tile(mus, len(ps))  # row order
+        evaluate = partial(_qfi_numeric, probe, kind, params=params)
         cores = os.cpu_count() or 1
-        workers = min(jobs or cores, cores, len(channels))
+        workers = min(jobs or cores, cores, points)
         if workers > 1:
-            chunk = max(1, len(channels) // (workers * 8))
+            size = max(1, points // (workers * 8))
+            starts = range(0, points, size)
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                columns.append(np.array(list(pool.map(evaluate, channels, chunksize=chunk))))
+                parts = pool.map(
+                    evaluate, [grid_p[i:i + size] for i in starts], [grid_mu[i:i + size] for i in starts]
+                )
+                columns.append(np.concatenate(list(parts)))
         else:
-            columns.append(np.array([evaluate(c) for c in channels]))
+            columns.append(evaluate(grid_p, grid_mu))
     if "closed" in names:
         f = closed_form_qfi_grid(
             kind, ps[:, None], mus[None, :], probe.theta, probe.phi,
@@ -375,6 +382,8 @@ class CheckReport:
     fd_tol: float
     max_closed_dev: float
     worst_closed: tuple
+    max_state_dev: float
+    worst_state: tuple
     max_fd_rel: float
     worst_fd: tuple
     passed: bool
@@ -387,6 +396,9 @@ class CheckReport:
                 f"closed-form vs numeric : max |dF| = {self.max_closed_dev:.6e}"
                 f"  (tol {self.tol:.6e})",
                 f"  worst tuple          : {self.worst_closed}",
+                f"closed vs numeric state: max |drho| = {self.max_state_dev:.6e}"
+                f"  (tol {self.tol:.6e})",
+                f"  worst tuple          : {self.worst_state}",
                 f"analytic vs finite diff: max rel dev = {self.max_fd_rel:.6e}"
                 f"  (tol {self.fd_tol:.6e})",
                 f"  worst tuple          : {self.worst_fd}",
@@ -401,56 +413,72 @@ def cross_check(
     tol: float = 1e-6,
     fd_tol: float = 1e-5,
 ) -> CheckReport:
-    """Compare closed_form_qfi, qfi_numeric, and the finite-difference route.
+    """Compare the closed-form, numeric and finite-difference routes.
 
-    Draws random (channel, p, mu, theta, phi, param) tuples for the Phi+
-    probe.  The closed-vs-numeric comparison is an absolute deviation; the
-    finite-difference comparison is relative to max(1, |F|) so that it stays
-    meaningful when the information vanishes.
+    Draws random (channel, probe, p, mu, theta, phi, param) tuples.  The
+    probe family is uniform over all five; an EWL probe also draws N in 2..4
+    and a mixing ratio r in [0, 1).  The closed values come from one
+    ``closed_form_qfi_grid`` call per (channel, family, N).  Each tuple
+    compares the closed QFI with ``qfi_numeric`` and ``output_density``
+    with the pushed probe, both as absolute deviations within ``tol``: the
+    Bell families share one QFI under Pauli noise (each is phi+ up to a
+    Pauli on one qubit), so only the state sees their relabelling and phase.
+    The finite-difference comparison is relative to max(1, |F|) so that it
+    stays meaningful when the information vanishes.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    kinds = list(ChannelKind)
-    draws = [
-        (
-            kinds[rng.integers(len(kinds))],
+    kinds, families = list(ChannelKind), list(ProbeFamily)
+    draws = []
+    for _ in range(samples):
+        kind = kinds[rng.integers(len(kinds))]
+        family = families[rng.integers(len(families))]
+        n, r = (int(rng.integers(2, 5)), float(rng.random())) if family is ProbeFamily.EWL else (2, 1.0)
+        draws.append((
+            kind, family, n, r,
             float(rng.random()),
             float(rng.random()),
             float(rng.uniform(0.0, math.pi / 2)),
             float(rng.uniform(0.0, 2.0 * math.pi)),
             Param.THETA if rng.integers(2) == 0 else Param.PHI,
-        )
-        for _ in range(samples)
-    ]
-    # closed values: one closed_form_qfi_grid call per channel kind
-    kind_of = np.array([kinds.index(d[0]) for d in draws])
-    row_of = np.array([list(Param).index(d[5]) for d in draws])
-    settings = np.array([d[1:5] for d in draws]).T  # p, mu, theta, phi
+        ))
+    # closed values: one closed_form_qfi_grid call per (kind, family, N)
+    groups = defaultdict(list)
+    for i, (kind, family, n, *_) in enumerate(draws):
+        groups[kind, family, n].append(i)
     closed = np.empty(samples)
-    for k, kind in enumerate(kinds):
-        sel = np.flatnonzero(kind_of == k)
-        f = closed_form_qfi_grid(kind, *settings[:, sel])
-        closed[sel] = f[row_of[sel], np.arange(sel.size)]
+    for (kind, family, n), sel in groups.items():
+        r, p, mu, theta, phi = np.array([draws[i][3:8] for i in sel]).T
+        f = closed_form_qfi_grid(kind, p, mu, theta, phi, family, r, n)
+        rows = [list(Param).index(draws[i][8]) for i in sel]
+        closed[sel] = f[rows, np.arange(len(sel))]
 
-    max_closed = 0.0
+    max_closed = max_state = 0.0
     worst_closed: tuple = ()
+    worst_state: tuple = ()
     max_fd = 0.0
     worst_fd: tuple = ()
-    for (kind, p, mu, theta, phi, param), closed_value in zip(draws, closed.tolist()):
-        probe = ProbeSpec(ProbeFamily.PHI_PLUS, theta, phi)
+    for (kind, family, n, r, p, mu, theta, phi, param), closed_value in zip(draws, closed.tolist()):
+        probe = ProbeSpec(family, theta, phi, r=r, n_qubits=n)
         channel = ChannelSpec(kind, p, mu)
+        where = (kind.value, family.value, n, round(p, 6), round(mu, 6), param.value)
         numeric = qfi_numeric(probe, channel, param)
         dev = abs(closed_value - numeric)
         if dev > max_closed:
             max_closed = dev
-            worst_closed = (kind.value, round(p, 6), round(mu, 6), param.value)
+            worst_closed = where
+        state = output_density(channel, theta, phi, family, r, n)
+        state_dev = float(np.max(np.abs(state - apply_channel(density(probe), channel))))
+        if state_dev > max_state:
+            max_state = state_dev
+            worst_state = where
         fd = qfi_numeric_fd(probe, channel, param)
         rel = abs(fd - numeric) / max(1.0, abs(numeric), abs(fd))
         if rel > max_fd:
             max_fd = rel
-            worst_fd = (kind.value, round(p, 6), round(mu, 6), param.value)
-    passed = max_closed <= tol and max_fd <= fd_tol
+            worst_fd = where
+    passed = max_closed <= tol and max_state <= tol and max_fd <= fd_tol
     return CheckReport(
         samples=samples,
         seed=seed,
@@ -458,6 +486,8 @@ def cross_check(
         fd_tol=fd_tol,
         max_closed_dev=max_closed,
         worst_closed=worst_closed,
+        max_state_dev=max_state,
+        worst_state=worst_state,
         max_fd_rel=max_fd,
         worst_fd=worst_fd,
         passed=passed,

@@ -269,3 +269,23 @@ def test_channel_spec_validation():
     with pytest.raises(ValueError):
         ChannelSpec(ChannelKind.BIT_FLIP, 0.4, -0.2)
     assert ChannelSpec("depolarizing", 0.1, 0.2).kind is ChannelKind.DEPOLARIZING
+
+
+def test_push_equals_apply_channel_bit_for_bit():
+    # the stacked kernel at mixed support patterns (p = 0, generic, 1, and a
+    # p whose error weight underflows to 0) equals one push per operator
+    # and point, bit for bit
+    from corrqfi.channels import _push
+
+    rng = np.random.default_rng(SEED + 7)
+    ps = np.array([0.0, 0.3, 1.0, 5e-324, 0.75, 1.0, 0.0])
+    mus = np.array([0.5, 0.0, 0.2, 0.9, 1.0, 1.0, 0.0])
+    for n in (1, 2, 3, 4):
+        ops = rng.normal(size=(3, 2**n, 2**n)) + 1j * rng.normal(size=(3, 2**n, 2**n))
+        for kind in ALL_KINDS:
+            stacked = _push(ops, kind, ps, mus)
+            assert stacked.shape == (len(ps), 3, 2**n, 2**n)
+            for i, (p, mu) in enumerate(zip(ps, mus)):
+                for k, op in enumerate(ops):
+                    one = apply_channel(op, ChannelSpec(kind, p, mu))
+                    assert stacked[i, k].tobytes() == one.tobytes(), (n, kind, p, mu, k)

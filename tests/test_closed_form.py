@@ -545,7 +545,7 @@ def test_near_singular_scan_stays_physical_and_agrees():
         for k, offset in enumerate(offsets):
             channel = ChannelSpec(kind, p[k], mu[k])
             probe = ProbeSpec(ProbeFamily.PHI_PLUS, t[k], f[k])
-            numerics = _qfi_numeric(probe, channel, tuple(Param))
+            numerics = _qfi_numeric(probe, kind, [channel.p], [channel.mu], tuple(Param))[0]
             for param, closed, numeric in zip(Param, grid[:, k], numerics):
                 f0 = 4.0 if param is Param.THETA else math.sin(2.0 * t[k]) ** 2
                 setting = (kind.value, channel.p, channel.mu, t[k], f[k], param.value)
@@ -624,7 +624,7 @@ def test_grid_kernel_properties(grid, probe_args):
             one = closed_form_qfi(channel, theta[k], phi[k], param, family, r, n)
             assert abs(f[i, k] - one) <= 1e-14
         if off[k]:
-            numeric = _qfi_numeric(probe, channel, tuple(Param))
+            numeric = _qfi_numeric(probe, kind, [channel.p], [channel.mu], tuple(Param))[0]
             assert np.all(np.abs(f[:, k] - numeric) <= 1e-9), (channel, probe)
     if kind in (ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP):
         mirrored = closed_form_qfi_grid(kind, 1.0 - p, mu, theta, phi, family, r, n)
@@ -655,7 +655,7 @@ def test_ewl_near_singular_scan_stays_physical_and_agrees(n):
         for k in range(len(p)):
             channel = ChannelSpec(kind, p[k], mu[k])
             probe = ProbeSpec(ProbeFamily.EWL, t[k], f[k], r=r, n_qubits=n)
-            numerics = _qfi_numeric(probe, channel, tuple(Param))
+            numerics = _qfi_numeric(probe, kind, [channel.p], [channel.mu], tuple(Param))[0]
             f0s = noiseless_qfi(t[k], r, n)
             for param, closed, numeric, f0 in zip(Param, grid[:, k], numerics, f0s):
                 setting = (kind.value, r, channel.p, channel.mu, t[k], f[k], param.value)

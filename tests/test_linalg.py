@@ -125,3 +125,49 @@ def test_eigh_trace_matches_eigenvalue_sum():
         w, _ = eigh(h)
         trace = np.trace(h).real
         assert abs(w.sum() - trace) <= 1e-10 * max(1.0, abs(trace))
+
+
+def _mixed_stack(rng, n):
+    """Dense, X-shaped, diagonal, zero, rank-2 and near-degenerate matrices."""
+    dense = random_hermitian(rng, n)
+    x = np.zeros((n, n), dtype=complex)
+    i = np.arange(n)
+    x[i, i] = rng.normal(size=n)
+    x[i, n - 1 - i] += rng.normal(size=n) + 1j * rng.normal(size=n)
+    x = x + x.conj().T
+    diagonal = np.diag(rng.normal(size=n)).astype(complex)
+    u = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    near = q @ np.diag(1.0 + 1e-13 * rng.normal(size=n)) @ q.conj().T
+    return np.stack([dense, x, diagonal, np.zeros((n, n)), u @ u.conj().T,
+                     0.5 * (near + near.conj().T)])
+
+
+def test_eigh_stack_equals_one_matrix_eigh_bit_for_bit():
+    # every matrix of a mixed stack gets the bits it gets alone, although
+    # the stack's matrices leave the sweeps at different times
+    from corrqfi.linalg import _eigh_stack
+
+    rng = np.random.default_rng(SEED + 2)
+    for n in (1, 2, 3, 4, 7, 16, 33, 64):
+        stack = _mixed_stack(rng, n)
+        w, v = _eigh_stack(stack)
+        for k, h in enumerate(stack):
+            one = eigh(h)
+            assert w[k].tobytes() == one.eigenvalues.tobytes(), (n, k)
+            assert v[k].tobytes() == one.eigenvectors.tobytes(), (n, k)
+
+
+def test_eigh_stack_matrices_converge_after_different_sweep_counts(monkeypatch):
+    import corrqfi.linalg
+    from corrqfi.linalg import JacobiConvergenceError, _eigh_stack
+
+    rng = np.random.default_rng(SEED + 3)
+    dense, x, diagonal, zero = _mixed_stack(rng, 8)[:4]
+    monkeypatch.setattr(corrqfi.linalg, "MAX_SWEEPS", 1)
+    for h in (x, diagonal, zero):  # converged after at most one sweep
+        eigh(h)
+    with pytest.raises(JacobiConvergenceError, match=r"no convergence after 1 sweeps \(n=8\)"):
+        eigh(dense)
+    with pytest.raises(JacobiConvergenceError, match=r"no convergence after 1 sweeps \(n=8\)"):
+        _eigh_stack(np.stack([x, dense, diagonal]))

@@ -1,4 +1,4 @@
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -255,12 +255,45 @@ def test_bell_family_invariance(kind, p, mu, theta, phi):
     # psi+ at phi + pi.  The closed route relies on this mapping.
     channel = ChannelSpec(kind, p, mu)
     params = tuple(Param)
-    plus = _qfi_numeric(phi_plus(theta, phi), channel, params)
-    shifted = _qfi_numeric(phi_plus(theta, phi + np.pi), channel, params)
+    plus = _qfi_numeric(phi_plus(theta, phi), kind, [channel.p], [channel.mu], params)[0]
+    shifted = _qfi_numeric(phi_plus(theta, phi + np.pi), kind, [channel.p], [channel.mu], params)[0]
     for family, want in (
         (ProbeFamily.PSI_PLUS, plus),
         (ProbeFamily.PHI_MINUS, shifted),
         (ProbeFamily.PSI_MINUS, shifted),
     ):
-        got = _qfi_numeric(ProbeSpec(family, theta, phi), channel, params)
+        got = _qfi_numeric(ProbeSpec(family, theta, phi), kind, [channel.p], [channel.mu], params)[0]
         assert np.all(np.abs(got - want) <= 1e-12), (family, got, want)
+
+
+_GRID_AXIS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(
+    st.sampled_from(list(ProbeFamily)),
+    st.integers(2, 6),
+    st.sampled_from(list(ChannelKind)),
+    st.floats(0.0, np.pi / 2),
+    st.floats(0.0, 2 * np.pi),
+    st.floats(0.0, 1.0),
+    st.lists(st.tuples(_GRID_AXIS, _GRID_AXIS), min_size=1, max_size=4),
+)
+@example(ProbeFamily.EWL, 4, ChannelKind.DEPOLARIZING, 0.0, 0.5, 0.9,
+         [(0.0, 0.0), (1.0, 1.0), (0.75, 0.0), (0.3, 0.7)])
+@example(ProbeFamily.EWL, 5, ChannelKind.BIT_FLIP, np.pi / 4, 0.0, 1.0, [(1.0, 0.5), (0.5, 1.0)])
+@example(ProbeFamily.EWL, 6, ChannelKind.DEPOLARIZING, np.pi / 8, np.pi / 6, 0.9,
+         [(0.3, 0.25), (1.0, 0.0)])
+def test_grid_route_equals_qfi_numeric_bit_for_bit(family, n, kind, theta, phi, r, points):
+    # the stacked push, stacked Jacobi and chunked SLD sum give every point
+    # the bits of the one-point route, whatever the points around it
+    if family is ProbeFamily.EWL:
+        probe = ProbeSpec(family, theta, phi, r=r, n_qubits=n)
+    else:
+        probe = ProbeSpec(family, theta, phi)
+    ps, mus = (np.array(axis) for axis in zip(*points))
+    grid = _qfi_numeric(probe, kind, ps, mus, tuple(Param))
+    assert grid.shape == (len(points), 2)
+    for (p, mu), values in zip(points, grid):
+        channel = ChannelSpec(kind, p, mu)
+        assert values.tolist() == [qfi_numeric(probe, channel, param) for param in Param]

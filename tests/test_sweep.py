@@ -67,11 +67,20 @@ def test_point_critical_depolarizing_phi():
 
 @pytest.fixture
 def qfi_calls(monkeypatch):
-    """Counts of the channel pushes and eigensystems the numeric route makes."""
+    """Calls the numeric route makes: grid evaluations (with their point
+    counts) through ``sweep``, and one-matrix pushes and eigensystems."""
     import corrqfi.qfi
+    import corrqfi.sweep
 
-    calls = {"apply_channel": 0, "eigh": 0}
-    for name in calls:
+    calls = {"grid": [], "apply_channel": 0, "eigh": 0}
+    grid = corrqfi.sweep._qfi_numeric
+
+    def counted_grid(probe, kind, ps, mus, params):
+        calls["grid"].append(len(ps))
+        return grid(probe, kind, ps, mus, params)
+
+    monkeypatch.setattr(corrqfi.sweep, "_qfi_numeric", counted_grid)
+    for name in ("apply_channel", "eigh"):
         original = getattr(corrqfi.qfi, name)
 
         def counted(*args, _name=name, _original=original):
@@ -82,21 +91,28 @@ def qfi_calls(monkeypatch):
     return calls
 
 
-def test_point_pushes_the_probe_once_for_all_params(qfi_calls, monkeypatch):
-    # one channel push and one eigensystem for the state, one push per
-    # derivative; the values equal the one-parameter route's bit for bit
+def test_point_evaluates_one_grid_for_all_params(qfi_calls, monkeypatch):
+    # one grid evaluation of one point serves both parameters, with no
+    # one-matrix push or eigensystem; the values equal the one-parameter
+    # route's bit for bit
     probe = ProbeSpec(ProbeFamily.EWL, np.pi / 8, np.pi / 6, r=0.9, n_qubits=3)
     channel = ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.4)
     records = run_point(probe, channel, (Param.THETA, Param.PHI), Method.SLD)
-    assert qfi_calls == {"apply_channel": 3, "eigh": 1}
+    assert qfi_calls == {"grid": [1], "apply_channel": 0, "eigh": 0}
     monkeypatch.undo()
     assert [r.qfi for r in records] == [qfi_numeric(probe, channel, p) for p in Param]
 
 
-def test_figure4_pushes_each_probe_once_per_point(tmp_path, qfi_calls):
-    figure(4, tmp_path, points=3)
-    points = 3 * 4 * 3  # kinds x qubit numbers x mu values
-    assert qfi_calls == {"apply_channel": 3 * points, "eigh": points}
+def test_figure4_evaluates_one_grid_per_probe(tmp_path, qfi_calls, monkeypatch):
+    # 3 kinds x N = 2..5: twelve grid evaluations of the 3 mu values each,
+    # and no per-point push or eigensystem; every row equals qfi_numeric
+    csv_path, _ = figure(4, tmp_path, points=3)
+    assert qfi_calls == {"grid": [3] * 12, "apply_channel": 0, "eigh": 0}
+    monkeypatch.undo()
+    for row in read_csv(csv_path):
+        probe = ProbeSpec(ProbeFamily.EWL, row.theta, row.phi, r=row.r, n_qubits=row.n)
+        channel = ChannelSpec(row.channel, row.p, row.mu)
+        assert row.qfi == qfi_numeric(probe, channel, Param(row.param))
 
 
 def test_point_rows_equal_sweep_and_figure_rows(tmp_path):
@@ -208,8 +224,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize(
@@ -383,8 +399,24 @@ def test_cross_check_passes_and_reports():
     report = cross_check(60, seed=SEED, tol=1e-6)
     assert report.passed
     assert report.max_closed_dev <= 1e-7
+    assert report.max_state_dev <= 1e-12
     assert report.max_fd_rel <= 1e-5
     assert "PASS" in report.format()
+
+
+@pytest.mark.parametrize("table, family", [("_PHASE_SHIFT", "psi-"), ("_X_MASK", "psi+")])
+def test_cross_check_sees_a_fault_of_one_family(monkeypatch, table, family):
+    # the check draws every family; dropping one family's phase shift or
+    # X relabelling leaves every QFI as it is (each Bell probe is phi+ up to
+    # a one-qubit Pauli) but moves the closed output state
+    import corrqfi.closed_form
+
+    entries = getattr(corrqfi.closed_form, table)
+    monkeypatch.setitem(entries, ProbeFamily(family), 0)
+    report = cross_check(60, seed=SEED, tol=1e-6)
+    assert not report.passed and "FAIL" in report.format()
+    assert report.max_closed_dev <= 1e-7
+    assert report.max_state_dev > 0.1 and report.worst_state[1] == family
 
 
 def test_cross_check_impossible_tolerance_fails():

@@ -9,7 +9,9 @@ Subcommands:
     estimate  Monte-Carlo Cramer-Rao compliance report
     heatmap   render a CSV written by sweep or figure as a text heatmap
 
-Angles accept tiny arithmetic expressions ("pi/8", "3*pi/4").  A config file
+Angles accept tiny arithmetic expressions ("pi/8", "3*pi/4"): numbers, pi
+in any case, unary + -, binary + - * / (also x, × and ÷) and parentheses.
+Python's ``ast`` parses them and a whitelist evaluates them.  A config file
 of ``key = value`` lines (keys equal to the long flag names) can hold any
 option; explicit flags override it.
 """
@@ -17,7 +19,10 @@ option; explicit flags override it.
 from __future__ import annotations
 
 import argparse
+import ast
 import math
+import operator
+import re
 import sys
 from pathlib import Path
 
@@ -42,97 +47,45 @@ __all__ = ["main", "parse_angle"]
 # tiny arithmetic expressions for angles: numbers, pi, + - * / and parens
 # ---------------------------------------------------------------------------
 
-_MUL = {"*", "x", "×"}
-_DIV = {"/", "÷"}
+_SPELLINGS = str.maketrans({"x": "*", "×": "*", "÷": "/"})
+# every character of the language once respelled; keeps Python's "_" digit
+# separators, "#" comments, "j" imaginaries and non-ASCII digits out
+_ALPHABET = frozenset("0123456789.eEpiPI+-*/() ")
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")  # Python rejects "07"
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-()" or ch in _MUL or ch in _DIV:
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in ".eE" or
-                                     (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif text[i : i + 2].lower() == "pi":
-            tokens.append("pi")
-            i += 2
-        else:
-            raise ValueError(f"cannot parse angle expression {text!r} at {ch!r}")
-    return tokens
+def _evaluate(node: ast.expr) -> float:
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(str(node.value))  # via str, an int past the float range reads as inf
+    if isinstance(node, ast.Name) and node.id.lower() == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_evaluate(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_evaluate(node.left), _evaluate(node.right))
+    raise SyntaxError(type(node).__name__)
 
 
 def parse_angle(text: str) -> float:
-    """Evaluate an angle expression in radians ("pi/8", "0.5", "2*pi-1")."""
-    tokens = _tokenize(str(text))
-    pos = 0
+    """Evaluate an angle expression in radians ("pi/8", "0.5", "2*pi-1").
 
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def advance() -> str:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def atom() -> float:
-        tok = peek()
-        if tok is None:
-            raise ValueError(f"incomplete angle expression {text!r}")
-        if tok == "(":
-            advance()
-            value = expr()
-            if peek() != ")":
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-            advance()
-            return value
-        if tok == "pi":
-            advance()
-            return math.pi
-        advance()
-        return float(tok)
-
-    def factor() -> float:
-        if peek() == "-":
-            advance()
-            return -factor()
-        if peek() == "+":
-            advance()
-            return factor()
-        return atom()
-
-    def term() -> float:
-        value = factor()
-        while peek() in _MUL | _DIV:
-            op = advance()
-            rhs = factor()
-            if op in _DIV and rhs == 0.0:
-                raise ValueError(f"division by zero in angle expression {text!r}")
-            value = value * rhs if op in _MUL else value / rhs
-        return value
-
-    def expr() -> float:
-        value = term()
-        while peek() in {"+", "-"}:
-            op = advance()
-            rhs = term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    result = expr()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in angle expression {text!r}")
-    return result
+    Python parses the expression; only float arithmetic on numbers and pi
+    (any case) with unary + -, binary + - * / and parentheses is evaluated.
+    """
+    text = str(text)
+    # single spaces only: Python rejects newlines and a leading indent
+    source = _LEADING_ZEROS.sub("", " ".join(text.translate(_SPELLINGS).split()))
+    try:
+        if not _ALPHABET.issuperset(source):
+            raise SyntaxError(source)
+        return _evaluate(ast.parse(source, mode="eval").body)
+    except ZeroDivisionError:
+        raise ValueError(f"division by zero in angle expression {text!r}") from None
+    except (SyntaxError, RecursionError):
+        raise ValueError(f"cannot parse angle expression {text!r}") from None
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:

@@ -16,23 +16,13 @@ The Jacobi iteration runs on stacks: the private ``_eigh_stack`` takes
 tolerance and convergence test and stops sweeping once converged, and each
 round rotates only the (matrix, pair) entries above that matrix's skip
 threshold; skipped pairs are left untouched, not rotated by the identity.
-So a matrix gets the same bits in any stack as alone.  The rotation
-scalars are computed elementwise so that they equal a scalar Python
-computation bit for bit:
-
-- |a_pq| is ``np.hypot(re, im)``, as Python's ``abs(complex)`` (``np.abs``
-  of a complex differs);
-- the phase divides each part by r, as CPython's complex / float does
-  (numpy's complex / real multiplies by 1/r);
-- hypot(theta, 1) comes from ``math.hypot``, because ``np.hypot`` differs
-  from it in about 7e-4 of cases.
+So a matrix gets the same bits in any stack as alone: every rotation
+scalar is an elementwise numpy function of that matrix's own entries.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import repeat
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -123,20 +113,13 @@ def _rotations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jacobi (c, s) zeroing the (p, q) elements of Hermitian 2x2 blocks.
 
-    Elementwise over flat arrays; ``r`` is |a_pq| as ``np.hypot`` of its
-    parts, which equals Python's ``abs(complex)``.  Each scalar is the one a
-    scalar Python rotation gives, bit for bit: the phase divides each part
-    by r, as CPython's complex / float does (numpy's complex / real
-    multiplies by 1/r instead), and hypot(theta, 1) comes from
-    ``math.hypot``, which differs from ``np.hypot`` in the last bit in
-    about 7e-4 of cases.
+    Elementwise over flat arrays, so each (c, s) depends only on its own
+    block; ``r`` is |a_pq| as ``np.hypot`` of its parts, which is more
+    accurate than ``np.abs`` of the complex.
     """
-    re, im = apq.real, apq.imag
-    phase = np.empty(apq.shape, dtype=complex)
-    phase.real = (re + im * 0.0) / r  # CPython's quotient by (r, 0), signed zeros included
-    phase.imag = (im - re * 0.0) / r
+    phase = apq / r
     theta = (aqq - app) / (2.0 * r)
-    hyp = np.fromiter(map(math.hypot, theta.tolist(), repeat(1.0)), float, theta.size)
+    hyp = np.hypot(theta, 1.0)
     t = np.copysign(1.0, theta) / (np.abs(theta) + hyp)
     big = np.abs(theta) > 1e12
     t[big] = 1.0 / (2.0 * theta[big])

@@ -99,13 +99,15 @@ class ProbeSpec:
         return 2**self.n_qubits
 
 
-# Basis slots occupied by (cos-term, sin-term) for each Bell family, together
-# with the sign in front of the e^{i phi} sin component.
-_BELL_LAYOUT = {
+# Basis slots occupied by (cos-term, sin-term) for each family, together
+# with the sign in front of the e^{i phi} sin component; the EWL sin slot
+# is the last one, |1...1>, whatever N.
+_LAYOUT = {
     ProbeFamily.PHI_PLUS: (0, 3, +1.0),
     ProbeFamily.PHI_MINUS: (0, 3, -1.0),
     ProbeFamily.PSI_PLUS: (1, 2, +1.0),
     ProbeFamily.PSI_MINUS: (1, 2, -1.0),
+    ProbeFamily.EWL: (0, -1, +1.0),
 }
 
 
@@ -114,30 +116,22 @@ def bell_state_vector(spec: ProbeSpec) -> np.ndarray:
 
     Raises ValueError for the EWL family, which is mixed and has no vector.
     """
-    if spec.family not in _BELL_LAYOUT:
+    if spec.family is ProbeFamily.EWL:
         raise ValueError("bell_state_vector is defined for Bell-type families only")
-    lo, hi, sign = _BELL_LAYOUT[spec.family]
-    v = np.zeros(4, dtype=complex)
+    return _pure_component(spec)
+
+
+def _pure_component(spec: ProbeSpec) -> np.ndarray:
+    """Pure component vector: Bell vector, or |Xi> for EWL."""
+    lo, hi, sign = _LAYOUT[spec.family]
+    v = np.zeros(spec.dim, dtype=complex)
     v[lo] = np.cos(spec.theta)
     v[hi] = sign * np.exp(1j * spec.phi) * np.sin(spec.theta)
     return v
 
 
-def _pure_component(spec: ProbeSpec) -> np.ndarray:
-    """Pure component vector: Bell vector, or |Xi> for EWL."""
-    if spec.family is not ProbeFamily.EWL:
-        return bell_state_vector(spec)
-    v = np.zeros(spec.dim, dtype=complex)
-    v[0] = np.cos(spec.theta)
-    v[-1] = np.exp(1j * spec.phi) * np.sin(spec.theta)
-    return v
-
-
 def _pure_component_derivative(spec: ProbeSpec, param: Param) -> np.ndarray:
-    if spec.family is ProbeFamily.EWL:
-        lo, hi, sign = 0, spec.dim - 1, 1.0
-    else:
-        lo, hi, sign = _BELL_LAYOUT[spec.family]
+    lo, hi, sign = _LAYOUT[spec.family]
     v = np.zeros(spec.dim, dtype=complex)
     if Param(param) is Param.THETA:
         v[lo] = -np.sin(spec.theta)

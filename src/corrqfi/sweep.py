@@ -454,30 +454,23 @@ def cross_check(
         rows = [list(Param).index(draws[i][8]) for i in sel]
         closed[sel] = f[rows, np.arange(len(sel))]
 
-    max_closed = max_state = 0.0
-    worst_closed: tuple = ()
-    worst_state: tuple = ()
-    max_fd = 0.0
-    worst_fd: tuple = ()
-    for (kind, family, n, r, p, mu, theta, phi, param), closed_value in zip(draws, closed.tolist()):
+    # one row of per-sample deviations per comparison; argmax names the first
+    # worst tuple, and a NaN from any route is the row's max and fails the check
+    devs = np.empty((3, samples))
+    wheres = []
+    for i, (draw, closed_value) in enumerate(zip(draws, closed.tolist())):
+        kind, family, n, r, p, mu, theta, phi, param = draw
         probe = ProbeSpec(family, theta, phi, r=r, n_qubits=n)
         channel = ChannelSpec(kind, p, mu)
-        where = (kind.value, family.value, n, round(p, 6), round(mu, 6), param.value)
+        wheres.append((kind.value, family.value, n, round(p, 6), round(mu, 6), param.value))
         numeric = qfi_numeric(probe, channel, param)
-        dev = abs(closed_value - numeric)
-        if dev > max_closed:
-            max_closed = dev
-            worst_closed = where
+        devs[0, i] = abs(closed_value - numeric)
         state = output_density(channel, theta, phi, family, r, n)
-        state_dev = float(np.max(np.abs(state - apply_channel(density(probe), channel))))
-        if state_dev > max_state:
-            max_state = state_dev
-            worst_state = where
+        devs[1, i] = np.max(np.abs(state - apply_channel(density(probe), channel)))
         fd = qfi_numeric_fd(probe, channel, param)
-        rel = abs(fd - numeric) / max(1.0, abs(numeric), abs(fd))
-        if rel > max_fd:
-            max_fd = rel
-            worst_fd = where
+        devs[2, i] = abs(fd - numeric) / max(1.0, abs(numeric), abs(fd))
+    max_closed, max_state, max_fd = devs.max(axis=1).tolist()
+    worst_closed, worst_state, worst_fd = (wheres[i] for i in devs.argmax(axis=1))
     passed = max_closed <= tol and max_state <= tol and max_fd <= fd_tol
     return CheckReport(
         samples=samples,

@@ -1,7 +1,9 @@
 import csv
 import math
+import operator
 import re
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 import corrqfi.sweep
@@ -18,12 +20,88 @@ def test_parse_angle_literals():
     assert parse_angle("(pi+1)/2") == pytest.approx((math.pi + 1) / 2)
     assert parse_angle("3×pi÷4") == pytest.approx(3 * math.pi / 4)
     assert parse_angle("1e-3") == pytest.approx(1e-3)
+    assert parse_angle("07") == 7.0
+    assert parse_angle("3xpi/4") == 3 * math.pi / 4
+    assert parse_angle("PI/8") == math.pi / 8
+    assert parse_angle("pi\t/ 2") == math.pi / 2
 
 
 def test_parse_angle_rejects_garbage():
-    for bad in ("pie", "1 +", "(pi", "pi pi", "2**3", "pi/0"):
-        with pytest.raises(ValueError):
+    nested = "(" * 300 + "1" + ")" * 300
+    for bad in ("pie", "1 +", "(pi", "pi pi", "2**3", "pi/0", "1_0", nested):
+        with pytest.raises(ValueError, match="angle expression"):
             parse_angle(bad)
+
+
+# Expression trees for the property test: a leaf is (value, spellings), an
+# inner node is (op, children).  The test's own oracle evaluates the tree in
+# float arithmetic; the rendering varies spellings, parentheses and spaces.
+_OPS = {
+    "+": (operator.add, ("+",)),
+    "-": (operator.sub, ("-",)),
+    "*": (operator.mul, ("*", "x", "×")),
+    "/": (operator.truediv, ("/", "÷")),
+}
+_leaves = st.one_of(
+    st.just((math.pi, ["pi", "PI", "Pi", "pI"])),
+    st.builds(lambda k, zeros: (float(k), ["0" * zeros + str(k)]),
+              st.integers(0, 10**20), st.integers(0, 3)),
+    st.floats(0.0, 1e300).map(lambda x: (x, [repr(x), repr(x).upper()])),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["u+", "u-"]), st.tuples(sub)),
+        st.tuples(st.sampled_from(sorted(_OPS)), st.tuples(sub, sub)),
+    ),
+    max_leaves=12,
+)
+
+
+def _oracle(tree) -> float:
+    head, rest = tree
+    if isinstance(head, float):
+        return head
+    values = [_oracle(child) for child in rest]
+    if head in ("u+", "u-"):
+        return values[0] if head == "u+" else -values[0]
+    if head == "/" and values[1] == 0.0:
+        raise ZeroDivisionError
+    return _OPS[head][0](*values)
+
+
+def _render(tree, draw) -> str:
+    def space() -> str:
+        return draw(st.sampled_from(["", "", " ", "\t", "  ", "\n"]))
+
+    head, rest = tree
+    if isinstance(head, float):
+        text = draw(st.sampled_from(rest))
+    else:
+        parts = [_render(child, draw) for child in rest]
+        parts = [part if isinstance(child[0], float) else f"({part})"
+                 for part, child in zip(parts, rest)]
+        if head in ("u+", "u-"):
+            text = head[1] + space() + parts[0]
+        else:
+            op = draw(st.sampled_from(_OPS[head][1]))
+            text = parts[0] + space() + op + space() + parts[1]
+    for _ in range(draw(st.integers(0, 2))):
+        text = "(" + space() + text + space() + ")"
+    return text
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.data(), _trees)
+def test_parse_angle_matches_an_expression_tree(data, tree):
+    text = _render(tree, data.draw)
+    try:
+        want = _oracle(tree)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="division by zero"):
+            parse_angle(text)
+        return
+    assert parse_angle(text).hex() == want.hex(), text
 
 
 def test_point_command(capsys):

@@ -419,6 +419,25 @@ def test_cross_check_sees_a_fault_of_one_family(monkeypatch, table, family):
     assert report.max_state_dev > 0.1 and report.worst_state[1] == family
 
 
+def test_cross_check_fails_on_nan_and_names_its_tuple(monkeypatch):
+    # a NaN compares false with every bound; it must not slip past the max
+    import corrqfi.sweep
+
+    calls = []
+
+    def numeric_with_one_nan(probe, channel, param):
+        calls.append((channel.kind.value, probe.family.value, probe.n_qubits,
+                      round(channel.p, 6), round(channel.mu, 6), Param(param).value))
+        return float("nan") if len(calls) == 5 else qfi_numeric(probe, channel, param)
+
+    monkeypatch.setattr(corrqfi.sweep, "qfi_numeric", numeric_with_one_nan)
+    report = cross_check(20, seed=7)
+    assert not report.passed and "FAIL" in report.format()
+    assert np.isnan(report.max_closed_dev) and report.worst_closed == calls[4]
+    assert np.isnan(report.max_fd_rel) and report.worst_fd == calls[4]
+    assert report.max_state_dev <= 1e-12
+
+
 def test_cross_check_impossible_tolerance_fails():
     report = cross_check(20, seed=SEED, tol=0.0)
     assert not report.passed

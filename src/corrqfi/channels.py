@@ -20,20 +20,22 @@ built in one place (``transfer_matrix``, which broadcasts over arrays of p
 and mu) and shared by every function here and by the closed route's chain
 sums.
 The private kernel ``_push`` never lists the strings: it pushes a stack of
-K operators through the channel at B (p, mu) points at once.  It builds the
-distribution and transfer matrix once per call, for all points, from p and
-mu that the caller has checked (``ChannelSpec`` checks them for
-``apply_channel``).  It walks the qubits one at a time and keeps one
-accumulator per last Pauli index,
+K operators through the channel at B (p, mu) points, one operator after
+another.  It builds the distribution and transfer matrix once per call, for
+all points, from p and mu that the caller has checked (``ChannelSpec``
+checks them for ``apply_channel``).  It walks the qubits one at a time and
+keeps one accumulator per last Pauli index,
 
     acc'[i] = P_i^(k) (sum_j T[i, j] acc[j]) P_i^(k),
 
 restricted to the indices with p_i > 0 (two for flip channels, four for
 depolarizing noise), so a push costs O(N 4^N) instead of O(8^N 4^N).  Points
 are grouped by that support pattern (p = 0, 0 < p < 1, p = 1) with plain
-masks; each transfer-matrix product keeps the (m, m) @ (m, 4^N) shape of a
-single push, per operator and point, so a stacked push equals the pushes
-one at a time bit for bit and never grows into one large BLAS call.
+masks; each transfer-matrix product keeps the shape of a single push per
+point, so a stacked push equals the pushes one at a time bit for bit and
+never grows into one large BLAS call.  T is real, so the product runs on
+the float view of the complex accumulators, (m, m) @ (m, 2 4^N), with the
+same bits as the complex product and without its zero imaginary terms.
 ``apply_channel`` is its one-operator, one-point case.
 Pauli conjugation is exact, with no complex arithmetic: X and Y flip row
 and column bit k, and Y and Z negate the entries where those bits differ.
@@ -201,42 +203,42 @@ def _push(ops: np.ndarray, kind: ChannelKind, ps: np.ndarray, mus: np.ndarray) -
     ``ops`` is a (K, 2^N, 2^N) complex stack and ``ps``, ``mus`` are checked
     float arrays of B points; the result is (B, K, 2^N, 2^N).  The
     distribution and transfer matrix are built once for all points.  Points
-    are grouped by their support pattern (p = 0, 0 < p < 1, p = 1), and a
-    group of G points keeps (G, K, m, 4^N) accumulators over its m supported
-    Pauli indices.  Qubit k is one step for all of them: a product with the
-    transfer matrix mixes the accumulators ((m, m) @ (m, 4^N) per slice,
-    the shape a single push has), then an index flip (X, Y) and the sign
-    grid [[1, -1], [-1, 1]] (Y, Z) on bit k conjugate accumulator i by
-    Pauli i.
+    are grouped by their support pattern (p = 0, 0 < p < 1, p = 1), and the
+    K operators go through a group of G points one after another, each with
+    (G, m, 4^N) accumulators over the m supported Pauli indices.  Qubit k is
+    one step for all of them: a product with the real transfer matrix mixes
+    the accumulators ((m, m) @ (m, 2 4^N) per point on the float view of the
+    complex entries, the shape a single push has), then an index flip (X, Y)
+    and the sign grid [[1, -1], [-1, 1]] (Y, Z) on bit k conjugate
+    accumulator i by Pauli i.
     """
-    n_ops, dim = ops.shape[0], ops.shape[-1]
+    dim = ops.shape[-1]
     n = dim.bit_length() - 1
     base = _distribution(kind, ps)
     step = _transfer(base, mus)
     nonzero = base != 0.0
     pattern = nonzero @ _PATTERN_BITS
-    flat = ops.reshape(1, n_ops, 1, dim * dim)
-    out = np.empty((len(ps), n_ops, dim, dim), dtype=complex)
+    out = np.empty((len(ps), len(ops), dim, dim), dtype=complex)
     for code in dict.fromkeys(pattern.tolist()):
         group = pattern == code
         support = np.flatnonzero(nonzero[np.argmax(group)])
         m = len(support)
         # support is sorted, so the X/Y accumulators and the Y/Z ones are runs.
         lo, mid, hi = np.searchsorted(support, (1, 2, 3))
-        weights = base[group][:, support]
-        mix = step[group][:, support[:, None], support][:, None]
-        acc = weights[:, None, :, None] * flat
-        shape = acc.shape[:3]
-        for k in range(n):
-            if k:
-                acc = mix @ acc
-            view = acc.reshape(*shape, 2**k, 2, 2 ** (n - k - 1), 2**k, 2, 2 ** (n - k - 1))
-            if lo < hi:
-                view[:, :, lo:hi] = view[:, :, lo:hi, :, ::-1, :, :, ::-1]
-            if mid < m:
-                for row, col in ((0, 1), (1, 0)):
-                    corner = view[:, :, mid:, :, row, :, :, col]
-                    np.negative(corner, out=corner)
-                del corner  # a live view would hold this acc through the next product
-        out[group] = acc.sum(axis=2).reshape(-1, n_ops, dim, dim)
+        weights = base[group][:, support, None]
+        mix = step[group][:, support[:, None], support]
+        for j, op in enumerate(ops):
+            acc = weights * op.reshape(1, 1, dim * dim)
+            for k in range(n):
+                if k:
+                    acc = (mix @ acc.view(float)).view(complex)
+                view = acc.reshape(-1, m, 2**k, 2, 2 ** (n - k - 1), 2**k, 2, 2 ** (n - k - 1))
+                if lo < hi:
+                    view[:, lo:hi] = view[:, lo:hi, :, ::-1, :, :, ::-1]
+                if mid < m:
+                    for row, col in ((0, 1), (1, 0)):
+                        corner = view[:, mid:, :, row, :, :, col]
+                        np.negative(corner, out=corner)
+                    del corner  # a live view would hold this acc through the next product
+            out[group, j] = acc.sum(axis=1).reshape(-1, dim, dim)
     return out

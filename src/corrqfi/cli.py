@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+from functools import cache
 import math
 import operator
 import re
@@ -135,8 +136,8 @@ _OPTIONS = {
     "out": (str, None, "output path (CSV, heatmap text, or figure directory)"),
     "seed": (int, 0, "RNG seed"),
     "jobs": (
-        int, None,
-        "worker processes for the sld rows of sweep (default: all cores); "
+        int, 1,
+        "worker processes for the sld rows of sweep (default 1); "
         "figure checks it but runs in one process",
     ),
     "which": (int, 1, "figure number: 1 | 2 | 3 | 4"),
@@ -309,7 +310,9 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="corrqfi",
         description="Quantum Fisher information in classically correlated Pauli channels",
@@ -317,7 +320,11 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in _COMMANDS.items():
         _add_options(sub.add_parser(name, help=help_text), flags)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     handler, _, flags = _COMMANDS[args.command]
     try:
         return handler(_resolve(args, flags))

@@ -29,6 +29,7 @@ calls the channel again.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 import math
 
 import numpy as np
@@ -194,8 +195,19 @@ class TrigLikelihood:
         return _normalized(self.a + self.b * np.cos(wv) + self.c * np.sin(wv))
 
     def log_likelihood(self, counts: np.ndarray, values: np.ndarray | float) -> np.ndarray:
-        probs = self.probabilities(values)
-        return np.log(np.clip(probs, 1e-300, None)) @ counts
+        return self._log_probabilities(values) @ counts
+
+    def _log_probabilities(self, values: np.ndarray | float) -> np.ndarray:
+        return np.log(np.clip(self.probabilities(values), 1e-300, None))
+
+    @cached_property
+    def _period_scan(self) -> tuple[np.ndarray, np.ndarray]:
+        """``mle_estimate``'s first grid over the period and its log-probabilities.
+
+        Only the counts change between trials, so every trial reuses them.
+        """
+        grid = np.linspace(0.0, self.period, _GRID_POINTS, endpoint=False)
+        return grid, self._log_probabilities(grid)
 
 
 def likelihood_model(probe: ProbeSpec, channel: ChannelSpec, param: Param) -> TrigLikelihood:
@@ -232,8 +244,8 @@ def mle_estimate(counts: np.ndarray, likelihood: TrigLikelihood) -> float:
     if counts.sum() <= 0:
         raise ValueError("counts must contain at least one outcome")
     period = likelihood.period
-    grid = np.linspace(0.0, period, _GRID_POINTS, endpoint=False)
-    best = 1 + int(np.argmax(likelihood.log_likelihood(counts, grid)))
+    grid, table = likelihood._period_scan
+    best = 1 + int(np.argmax(table @ counts))
     # Wrapped neighbours of the end points.  For an even likelihood the cell
     # below 0 mirrors the one above it, so the scan stops at 0 there.
     below = 0.0 if likelihood.even else grid[-1] - period

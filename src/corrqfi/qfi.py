@@ -13,16 +13,17 @@ and its exact parameter derivatives once, then per chunk of points runs one
 stacked channel push (``channels._push``), one Hermiticity check, one
 stacked Jacobi (``linalg._eigh_stack``) and one SLD sum.  A chunk holds
 max(1, _CHUNK_BYTES // bytes per point) points, where a point's bytes are
-the push's accumulators (4 Pauli indices per operator and point), so the
-accumulators stay within 512 KiB up to N = 5; at N = 6 one point (768 KiB
-with three operators) is a chunk.  Every kernel keeps the per-slice shapes of a single point, so a
-point's values are bit-identical whatever chunk it lands in, and equal
-``qfi_numeric``, the one-point, one-parameter case (two ``apply_channel``
-calls and one ``eigh``).  The closed-form module feeds the same sum
-(``_qfi_from_eigensystem``) the analytic 2x2 block eigensystems of any
-probe over whole grids, so the two routes share the sum, its support cut
-and the channel's transfer matrix, and nothing else.  The sum and the cut
-take leading batch axes, which broadcast.
+one operator's push accumulators (4 Pauli indices per point; the push
+takes the operators one at a time), so the accumulators stay within
+512 KiB: 8 points at N = 5, 2 at N = 6.  Every kernel keeps the per-slice
+shapes of a single point, so a point's values are bit-identical whatever
+chunk it lands in, and equal ``qfi_numeric``, the one-point,
+one-parameter case (two ``apply_channel`` calls and one ``eigh``).  The
+closed-form module feeds the same sum (``_qfi_from_eigensystem``) the
+analytic 2x2 block eigensystems of any probe over whole grids, so the two
+routes share the sum, its support cut and the channel's transfer matrix,
+and nothing else.  The sum and the cut take leading batch axes, which
+broadcast.
 
 Only the support set of the state contributes.  One helper, ``_support``,
 makes that cut for every route: an eigenvalue pair (i, j) counts when
@@ -56,10 +57,11 @@ __all__ = [
 SUPPORT_TOL = 1e-12
 
 # Working-set budget of one chunk of ``_qfi_numeric``: the stacked push
-# holds up to 4 accumulators per operator and point, so a chunk takes
-# max(1, budget // (16 * 4 * operators * 4^N)) points.  On the numeric-route
-# benchmark a 1 MiB budget ran faster but raised the peak RSS by about 10%
-# over per-point pushes; 512 KiB keeps it within 5%.
+# holds up to 4 accumulators per point for one operator at a time, so a
+# chunk takes max(1, budget // (16 * 4 * 4^N)) points whatever the number
+# of parameters: a whole 21-point scan up to N = 4, 8 points at N = 5 and 2
+# at N = 6.  Jacobi's working set is about six times its input, so one
+# stack per scan raised the numeric-route peak RSS by about 6%.
 _CHUNK_BYTES = 1 << 19
 
 # Central-difference step of the finite-difference oracle.
@@ -142,7 +144,7 @@ def _qfi_numeric(
     ps = _check_unit_interval(ps, "p").ravel()
     mus = _check_unit_interval(mus, "mu").ravel()
     ops = np.stack([density(probe), *(density_derivative(probe, param) for param in params)])
-    per_chunk = max(1, _CHUNK_BYTES // (ops.size * 4 * 16))
+    per_chunk = max(1, _CHUNK_BYTES // (ops[0].size * 4 * 16))
     out = np.empty((len(ps), len(params)))
     for start in range(0, len(ps), per_chunk):
         chunk = slice(start, start + per_chunk)

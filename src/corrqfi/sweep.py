@@ -269,12 +269,12 @@ def evaluate_point(
     return run_point(probe, channel, (param,), method)
 
 
-def run_sweep(config: SweepConfig, jobs: int | None = None) -> list[SweepRecord]:
+def run_sweep(config: SweepConfig, jobs: int | None = 1) -> list[SweepRecord]:
     """Evaluate the full (p, mu) grid in canonical row order.
 
     Row order: p outer, mu inner, then param, then method.  ``jobs``
-    (default: all cores) must be >= 1 and bounds the process pool of the
-    sld rows; output is independent of it.
+    (default 1; None means all cores) must be >= 1 and bounds the process
+    pool of the sld rows; output is independent of it.
     """
     records = _rows(
         config.probe, config.kind, _grid(*config.p_grid), _grid(*config.mu_grid),
@@ -496,7 +496,7 @@ def figure(
     which: int,
     out_dir: str | Path,
     points: int | None = None,
-    jobs: int | None = None,
+    jobs: int | None = 1,
 ) -> tuple[Path, Path]:
     """Emit the CSV + heatmap data behind one of the four reference figures.
 

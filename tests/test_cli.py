@@ -6,6 +6,7 @@ import re
 from hypothesis import given, settings, strategies as st
 import pytest
 
+import corrqfi.cli
 import corrqfi.sweep
 from corrqfi.cli import main, parse_angle
 from corrqfi.sweep import CSV_HEADER
@@ -320,3 +321,30 @@ def test_bad_flag_value(capsys):
     code = main(["point", "--channel", "sideways"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_main_reuses_its_parser_without_carrying_state(capsys):
+    # the parser is built once per process; a failed parse and the calls
+    # after it must print what calls with a freshly built parser print
+    calls = [
+        ["point", "--channel", "bitflip", "--nope", "1"],
+        ["point", "--channel", "phaseflip", "--p", "0.2", "--mu", "0.4"],
+        ["check", "--samples", "2", "--seed", "1"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    reused = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        corrqfi.cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _ in reused] == [2, 0, 0]
+    assert "unrecognized arguments: --nope 1" in reused[0][1].err
+    assert corrqfi.cli._parser.cache_info().currsize == 1

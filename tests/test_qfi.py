@@ -1,3 +1,5 @@
+import tracemalloc
+
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
@@ -284,6 +286,13 @@ _GRID_AXIS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 @example(ProbeFamily.EWL, 5, ChannelKind.BIT_FLIP, np.pi / 4, 0.0, 1.0, [(1.0, 0.5), (0.5, 1.0)])
 @example(ProbeFamily.EWL, 6, ChannelKind.DEPOLARIZING, np.pi / 8, np.pi / 6, 0.9,
          [(0.3, 0.25), (1.0, 0.0)])
+# more points than one chunk holds (8 at N = 5, 2 at N = 6)
+@example(ProbeFamily.EWL, 5, ChannelKind.PHASE_FLIP, np.pi / 8, np.pi / 6, 0.9,
+         [(0.3, 0.1 * i) for i in range(8)] + [(0.0, 0.5), (1.0, 1.0)])
+@example(ProbeFamily.EWL, 5, ChannelKind.DEPOLARIZING, 0.4, 1.0, 0.7,
+         [(0.75, 0.0), (0.3, 1.0)] + [(0.1 * i, 0.5) for i in range(8)])
+@example(ProbeFamily.EWL, 6, ChannelKind.BIT_PHASE_FLIP, np.pi / 8, np.pi / 6, 0.9,
+         [(0.3, 0.25), (0.6, 0.75), (1.0, 0.0)])
 def test_grid_route_equals_qfi_numeric_bit_for_bit(family, n, kind, theta, phi, r, points):
     # the stacked push, stacked Jacobi and chunked SLD sum give every point
     # the bits of the one-point route, whatever the points around it
@@ -297,3 +306,41 @@ def test_grid_route_equals_qfi_numeric_bit_for_bit(family, n, kind, theta, phi, 
     for (p, mu), values in zip(points, grid):
         channel = ChannelSpec(kind, p, mu)
         assert values.tolist() == [qfi_numeric(probe, channel, param) for param in Param]
+
+
+# qfi_numeric at figure-4 points (EWL r = 0.9, theta = pi/8, phi = pi/6,
+# p = 0.3, mu = 0.5) as float.hex, (theta, phi): the dense route's exact
+# bits, so a change that moves any last bit shows here.
+_FIGURE_4_BITS = {
+    (ChannelKind.DEPOLARIZING, 2): ("0x1.8a85ee6ca2b93p+0", "0x1.3527fd3e810a2p-3"),
+    (ChannelKind.DEPOLARIZING, 5): ("0x1.a5091d78a4bf9p+0", "0x1.7525790ef3b3fp-4"),
+    (ChannelKind.BIT_FLIP, 2): ("0x1.06dc0c9fd0cc6p+1", "0x1.989bf7fbd17b1p-3"),
+    (ChannelKind.BIT_FLIP, 5): ("0x1.231870c6cc72ap+1", "0x1.de9f6f828927cp-3"),
+    (ChannelKind.PHASE_FLIP, 2): ("0x1.8f75a0fef9cfap+1", "0x1.25b58593b810ep-3"),
+    (ChannelKind.PHASE_FLIP, 5): ("0x1.c36d2639e541ep+1", "0x1.7ec3a5c1b216ep-6"),
+}
+
+
+@pytest.mark.parametrize("kind, n", list(_FIGURE_4_BITS))
+def test_qfi_numeric_keeps_its_figure_4_bits(kind, n):
+    probe = ProbeSpec(ProbeFamily.EWL, np.pi / 8, np.pi / 6, r=0.9, n_qubits=n)
+    channel = ChannelSpec(kind, 0.3, 0.5)
+    bits = tuple(qfi_numeric(probe, channel, param).hex() for param in Param)
+    assert bits == _FIGURE_4_BITS[kind, n]
+
+
+def test_a_second_parameter_adds_little_to_the_dense_route_peak():
+    # the push takes one operator at a time, so a second derivative adds
+    # its output, not another set of accumulators
+    probe = ProbeSpec(ProbeFamily.EWL, np.pi / 8, np.pi / 6, r=0.9, n_qubits=6)
+    ps, mus = np.array([0.3, 0.6]), np.array([0.25, 0.75])
+    _qfi_numeric(probe, ChannelKind.DEPOLARIZING, ps, mus, tuple(Param))  # fill the caches
+    peaks = []
+    for params in ((Param.THETA,), tuple(Param)):
+        tracemalloc.start()
+        try:
+            _qfi_numeric(probe, ChannelKind.DEPOLARIZING, ps, mus, params)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]

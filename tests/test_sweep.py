@@ -251,6 +251,23 @@ def test_sweep_pool_size_is_bounded(tmp_path, monkeypatch, jobs, count, cores, w
     assert len(records) == count * count * 2 * 2
 
 
+def test_sweeps_default_to_one_process(tmp_path, monkeypatch):
+    # pool workers each start their own BLAS threads on the same cores, so a
+    # sweep pools only when asked to
+    import corrqfi.sweep
+    from corrqfi.cli import main
+
+    RecordingPool.sizes = []
+    monkeypatch.setattr(corrqfi.sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(corrqfi.sweep.os, "cpu_count", lambda: 8)
+    run_sweep(small_config(tmp_path))
+    assert main(["sweep", "--channel", "phaseflip", "--grid-p", "0:1:3", "--grid-mu", "0:1:3",
+                 "--out", str(tmp_path / "cli.csv")]) == 0
+    assert RecordingPool.sizes == []
+    run_sweep(small_config(tmp_path), jobs=None)
+    assert RecordingPool.sizes == [8]
+
+
 @pytest.mark.parametrize("which", [1, 2, 3, 4])
 def test_figures_and_closed_sweeps_start_no_pool(tmp_path, monkeypatch, which):
     # closed rows come from one kernel call and figure 4 runs serially, so

@@ -18,7 +18,7 @@ from .channels import (
     single_use_distribution,
 )
 from .closed_form import closed_form_qfi, output_density
-from .linalg import EigenSystem, JacobiConvergenceError, eigh, pauli
+from .linalg import JacobiConvergenceError, eigh
 from .metrology import (
     EstimationConfig,
     EstimationReport,
@@ -30,12 +30,10 @@ from .probes import (
     Param,
     ProbeFamily,
     ProbeSpec,
-    bell_state_vector,
     density,
     density_derivative,
 )
 from .qfi import (
-    build_sld,
     cramer_rao_bound,
     qfi_numeric,
     qfi_numeric_fd,
@@ -65,10 +63,8 @@ __all__ = [
     "single_use_distribution",
     "closed_form_qfi",
     "output_density",
-    "EigenSystem",
     "JacobiConvergenceError",
     "eigh",
-    "pauli",
     "EstimationConfig",
     "EstimationReport",
     "cramer_rao_report",
@@ -77,10 +73,8 @@ __all__ = [
     "Param",
     "ProbeFamily",
     "ProbeSpec",
-    "bell_state_vector",
     "density",
     "density_derivative",
-    "build_sld",
     "cramer_rao_bound",
     "qfi_numeric",
     "qfi_numeric_fd",

@@ -96,6 +96,13 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
+def _parse_jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return jobs
+
+
 def _parse_params(text: str) -> tuple[Param, ...]:
     names = [t.strip() for t in str(text).split(",") if t.strip()]
     if not names:
@@ -136,9 +143,8 @@ _OPTIONS = {
     "out": (str, None, "output path (CSV, heatmap text, or figure directory)"),
     "seed": (int, 0, "RNG seed"),
     "jobs": (
-        int, 1,
-        "worker processes for the sld rows of sweep (default 1); "
-        "figure checks it but runs in one process",
+        _parse_jobs, 1,
+        "accepted for compatibility, at least 1; every run uses one process",
     ),
     "which": (int, 1, "figure number: 1 | 2 | 3 | 4"),
     "points": (
@@ -241,16 +247,14 @@ def _cmd_sweep(opt: dict[str, object]) -> int:
         method=opt["method"],
         out=str(_require(opt, "out")),
     )
-    records = run_sweep(config, jobs=opt["jobs"])
+    records = run_sweep(config)
     print(f"wrote {len(records)} rows to {config.out}")
     return 0
 
 
 def _cmd_figure(opt: dict[str, object]) -> int:
     out_dir = opt["out"] or "."
-    csv_path, map_path = figure(
-        int(opt["which"]), out_dir, points=opt["points"], jobs=opt["jobs"]
-    )
+    csv_path, map_path = figure(int(opt["which"]), out_dir, points=opt["points"])
     print(f"wrote {csv_path} and {map_path}")
     return 0
 

@@ -52,7 +52,7 @@ import math
 import numpy as np
 
 from .channels import ChannelKind, ChannelSpec, single_use_distribution, transfer_matrix
-from .probes import Param, ProbeFamily
+from .probes import Param, ProbeFamily, ProbeSpec
 from .qfi import _qfi_from_eigensystem
 
 __all__ = [
@@ -138,9 +138,15 @@ def output_density(
     channel: ChannelSpec, theta: float, phi: float,
     family: ProbeFamily = ProbeFamily.PHI_PLUS, r: float = 1.0, n_qubits: int = 2,
 ) -> np.ndarray:
-    """Closed-form 2^N x 2^N output state of a probe (phi+ by default)."""
-    a, d, k = _entries(channel.kind, channel.p, channel.mu, theta, phi, family, r, n_qubits)
-    return _x_matrix(a[0], d[0], k[0], family)
+    """Closed-form 2^N x 2^N output state of a probe (phi+ by default).
+
+    The probe is checked as ``ProbeSpec`` checks it.
+    """
+    probe = ProbeSpec(family, theta, phi, r, n_qubits)
+    a, d, k = _entries(
+        channel.kind, channel.p, channel.mu, probe.theta, probe.phi, probe.family, probe.r, probe.n_qubits
+    )
+    return _x_matrix(a[0], d[0], k[0], probe.family)
 
 
 _IDENTITY = np.eye(2, dtype=complex).reshape(4)
@@ -204,7 +210,11 @@ def closed_form_qfi(
     """QFI of the channel output for a probe (phi+ by default), fully analytic.
 
     Defined at every valid setting: the SLD sum over the closed-form block
-    eigensystems has no singular gauge to avoid.
+    eigensystems has no singular gauge to avoid.  The probe is checked as
+    ``ProbeSpec`` checks it.
     """
-    f = closed_form_qfi_grid(channel.kind, channel.p, channel.mu, theta, phi, family, r, n_qubits)
+    probe = ProbeSpec(family, theta, phi, r, n_qubits)
+    f = closed_form_qfi_grid(
+        channel.kind, channel.p, channel.mu, probe.theta, probe.phi, probe.family, probe.r, probe.n_qubits
+    )
     return float(f[list(Param).index(Param(param))])

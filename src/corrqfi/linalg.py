@@ -1,9 +1,8 @@
 """Dense complex linear algebra for small multi-qubit operators.
 
-Everything operates on plain ``numpy`` arrays of ``complex128``; the module
-holds the Pauli matrices and the Hermitian eigensolver, and tensor products
-are plain ``numpy.kron``.  ``eigh`` caps dimensions at 64 (six qubits): this
-package targets exactness at desk scale, not scalability.  The eigensolver
+The module holds the Hermitian eigensolver, on plain ``numpy`` arrays of
+``complex128``.  ``eigh`` caps dimensions at 64 (six qubits): this package
+targets exactness at desk scale, not scalability.  The eigensolver
 is a cyclic Jacobi iteration, chosen over LAPACK because the matrices are
 tiny and Jacobi retains high relative accuracy for the near-zero
 eigenvalues that the Fisher-information support logic depends on.  Just
@@ -23,7 +22,6 @@ scalar is an elementwise numpy function of that matrix's own entries.
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +29,6 @@ __all__ = [
     "MAX_DIM",
     "HERMITICITY_TOL",
     "JacobiConvergenceError",
-    "EigenSystem",
-    "pauli",
     "eigh",
 ]
 
@@ -40,71 +36,33 @@ MAX_DIM = 64  # 2**6, the largest operator dimension supported
 HERMITICITY_TOL = 1e-12  # max |H - H^dag| element accepted by eigh
 MAX_SWEEPS = 60  # Jacobi sweep cap of eigh
 
-_PAULI = (
-    np.array([[1, 0], [0, 1]], dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 
 class JacobiConvergenceError(RuntimeError):
     """The Jacobi sweep cap was reached before the off-diagonal vanished."""
 
 
-class EigenSystem(NamedTuple):
-    """Full spectrum of a Hermitian matrix.
-
-    ``eigenvalues`` is real and ascending (ties keep original order);
-    column ``i`` of ``eigenvectors`` pairs with ``eigenvalues[i]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def pauli(index: int) -> np.ndarray:
-    """Return the 2x2 Pauli matrix for ``index`` in {0, 1, 2, 3}.
-
-    Index 0 is the identity; 1, 2, 3 are sigma_x, sigma_y, sigma_z.
-    """
-    if index not in (0, 1, 2, 3):
-        raise ValueError(f"Pauli index must be in 0..3, got {index!r}")
-    return _PAULI[index].copy()
-
-
 @cache
-def _round_robin_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Tournament schedule: every index pair exactly once, rounds disjoint.
+def _round_indices(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Tournament schedule as (p, q, p*n + q) read-only index arrays per round.
 
-    Built once per dimension; the result is immutable, so the cache can
-    hand the same schedule to every call.
+    Every index pair p < q comes exactly once and the pairs of a round are
+    disjoint.  Built once per dimension, so every call shares one schedule.
     """
     m = n + (n % 2)
     players = list(range(m))
-    rounds: list[tuple[tuple[int, int], ...]] = []
-    for _ in range(m - 1):
-        pairs = []
-        for i in range(m // 2):
-            p, q = players[i], players[m - 1 - i]
-            if p < n and q < n:
-                pairs.append((min(p, q), max(p, q)))
-        rounds.append(tuple(pairs))
-        players = [players[0], players[-1]] + players[1:-1]
-    return tuple(rounds)
-
-
-@cache
-def _round_indices(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """``_round_robin_pairs(n)`` as (p, q, p*n + q) index arrays per round."""
     rounds = []
-    for pairs in _round_robin_pairs(n):
+    for _ in range(m - 1):
+        pairs = [
+            sorted((players[i], players[m - 1 - i]))
+            for i in range(m // 2)
+            if players[i] < n and players[m - 1 - i] < n
+        ]
         ps, qs = np.array(pairs).T
-        for index in (ps, qs):
-            index.flags.writeable = False
         flat = ps * n + qs
-        flat.flags.writeable = False
+        for index in (ps, qs, flat):
+            index.flags.writeable = False
         rounds.append((ps, qs, flat))
+        players = [players[0], players[-1]] + players[1:-1]
     return tuple(rounds)
 
 
@@ -128,14 +86,15 @@ def _rotations(
     return c, t * c * phase
 
 
-def eigh(h: np.ndarray) -> EigenSystem:
+def eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
 
     The one-matrix case of ``_eigh_stack``.  The input must be Hermitian
-    within HERMITICITY_TOL (max element of ``h - h^dag``).  Eigenvalues come
-    back ascending with a stable tie order; eigenvector columns are
-    orthonormal to machine precision because they accumulate exact unitary
-    rotations.
+    within HERMITICITY_TOL (max element of ``h - h^dag``).  Returns the
+    tuple (w, v): real eigenvalues ``w``, ascending with a stable tie
+    order, and eigenvectors, column ``i`` of ``v`` paired with ``w[i]``.
+    The columns are orthonormal to machine precision because they
+    accumulate exact unitary rotations.
 
     Raises:
         ValueError: non-square, non-finite, or non-Hermitian input, or a
@@ -146,10 +105,10 @@ def eigh(h: np.ndarray) -> EigenSystem:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"eigh expects a square matrix, got shape {h.shape}")
     w, v = _eigh_stack(h[None])
-    return EigenSystem(w[0], v[0])
+    return w[0], v[0]
 
 
-def _eigh_stack(h: np.ndarray) -> EigenSystem:
+def _eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi on a (B, n, n) stack of Hermitian matrices.
 
     One sweep visits every index pair once, following a round-robin order so
@@ -174,7 +133,7 @@ def _eigh_stack(h: np.ndarray) -> EigenSystem:
     a = 0.5 * (h + h_dag)  # exact symmetrization of the tolerated drift
     v = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
     if n == 1:
-        return EigenSystem(a[:, :, 0].real.copy(), v)
+        return a[:, :, 0].real.copy(), v
     scale = np.max(np.abs(a), axis=(-2, -1))
     tol = 1e-14 * scale
     skip = 0.01 * tol
@@ -224,6 +183,4 @@ def _eigh_stack(h: np.ndarray) -> EigenSystem:
     w = np.diagonal(a, axis1=-2, axis2=-1).real.copy()
     w[scale == 0.0] = 0.0  # +0 for a zero matrix, whatever the signs of its zeros
     order = np.argsort(w, axis=-1, kind="stable")
-    return EigenSystem(
-        np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[:, None, :], axis=-1)
-    )
+    return np.take_along_axis(w, order, axis=-1), np.take_along_axis(v, order[:, None, :], axis=-1)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 import math
+import operator
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "Param",
     "ProbeSpec",
     "DEFAULT_EWL_RATIO",
-    "bell_state_vector",
     "density",
     "density_derivative",
 ]
@@ -59,7 +59,7 @@ class ProbeSpec:
     ``r`` is the EWL mixing ratio; ``None`` resolves to DEFAULT_EWL_RATIO.
     Bell-type probes are pure, so they accept only ``None`` or 1.0 and
     record 1.0.  Bell-type probes are two-qubit by definition; EWL supports
-    2..6 qubits.
+    2..6 qubits.  ``n_qubits`` must be an integer (a numpy integer will do).
     """
 
     family: ProbeFamily
@@ -77,6 +77,10 @@ class ProbeSpec:
             raise ValueError("theta and phi must be finite")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
+        try:
+            object.__setattr__(self, "n_qubits", operator.index(self.n_qubits))
+        except TypeError:
+            raise TypeError(f"n_qubits must be an integer, got {self.n_qubits!r}") from None
         if family is ProbeFamily.EWL:
             if not 2 <= self.n_qubits <= 6:
                 raise ValueError(f"EWL probes support 2..6 qubits, got {self.n_qubits}")
@@ -109,16 +113,6 @@ _LAYOUT = {
     ProbeFamily.PSI_MINUS: (1, 2, -1.0),
     ProbeFamily.EWL: (0, -1, +1.0),
 }
-
-
-def bell_state_vector(spec: ProbeSpec) -> np.ndarray:
-    """State vector of a Bell-type probe in the 4-dim computational basis.
-
-    Raises ValueError for the EWL family, which is mixed and has no vector.
-    """
-    if spec.family is ProbeFamily.EWL:
-        raise ValueError("bell_state_vector is defined for Bell-type families only")
-    return _pure_component(spec)
 
 
 def _pure_component(spec: ProbeSpec) -> np.ndarray:

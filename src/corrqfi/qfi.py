@@ -45,7 +45,6 @@ from .probes import Param, ProbeSpec, density, density_derivative
 __all__ = [
     "SUPPORT_TOL",
     "qfi_sld",
-    "build_sld",
     "qfi_numeric",
     "qfi_numeric_fd",
     "cramer_rao_bound",
@@ -111,21 +110,6 @@ def qfi_sld(rho: np.ndarray, d_rho: np.ndarray) -> float:
     d_rho = _require_hermitian(d_rho, "d_rho")
     w, v = eigh(rho)
     return float(_qfi_from_eigensystem(w, v, d_rho))
-
-
-def build_sld(rho: np.ndarray, d_rho: np.ndarray) -> np.ndarray:
-    """Symmetric logarithmic derivative L with d_rho = (L rho + rho L)/2.
-
-    Matrix elements outside the support set are set to zero, the standard
-    minimal-norm completion.  Tr(L^2 rho) reproduces qfi_sld.
-    """
-    rho = _require_hermitian(rho, "rho")
-    d_rho = _require_hermitian(d_rho, "d_rho")
-    w, v = eigh(rho)
-    t = v.conj().T @ d_rho @ v
-    denom, inside = _support(w)
-    safe = np.where(inside, denom, np.inf)  # excluded pairs -> 0
-    return v @ (2.0 * t / safe) @ v.conj().T
 
 
 def _qfi_numeric(

@@ -5,7 +5,8 @@ front end: evaluating QFI over (p, mu) grids, emitting deterministic CSV,
 rendering text heatmaps (of records, or of a CSV written by ``sweep`` or
 ``figure``), and running the closed-form / numeric / finite-difference
 consistency check.  Every probe has both routes, and a point or sweep runs
-both (``Method.BOTH``) unless told otherwise.
+both (``Method.BOTH``) unless told otherwise.  Every sweep and figure runs
+in the calling process.
 
 CSV rows follow the fixed schema
 
@@ -19,15 +20,12 @@ from __future__ import annotations
 
 import csv
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import product
 from operator import itemgetter
 import io
 import math
-import os
 from pathlib import Path
 from typing import NamedTuple
 
@@ -164,22 +162,16 @@ def _rows(
     mus,
     params: tuple[Param, ...],
     method: Method,
-    jobs: int | None = 1,
 ) -> list[SweepRecord]:
     """Rows over the (p, mu) grid ``ps`` x ``mus``, the one place a route runs.
 
     Row order: p outer, mu inner, then param, then method.  The sld rows
     come from one ``_qfi_numeric`` call over the grid's points, which takes
-    all parameters from each point's one output eigensystem.  With a process
-    pool of min(jobs, points, cores) workers, when that exceeds 1
-    (``jobs=None``: all cores), the workers map contiguous chunks of the
-    points instead; a point's values do not depend on its chunk, so output
-    is independent of the worker count.  The closed rows, for every probe,
-    come from one ``closed_form_qfi_grid`` call.  A gap above ``_BOTH_TOL``
-    between the routes, or a qfi outside the sane range, aborts before any
-    row is built (``_check_values``).
+    all parameters from each point's one output eigensystem.  The closed
+    rows, for every probe, come from one ``closed_form_qfi_grid`` call.  A
+    gap above ``_BOTH_TOL`` between the routes, or a qfi outside the sane
+    range, aborts before any row is built (``_check_values``).
     """
-    _check_jobs(jobs)
     params = tuple(Param(param) for param in params)
     if len(set(params)) != len(params):
         raise ValueError(
@@ -190,21 +182,8 @@ def _rows(
     names = list(_METHOD_ORDER) if method is Method.BOTH else [method.value]
     columns = []  # one (point, param) array per method
     if "sld" in names:
-        points = len(ps) * len(mus)
         grid_p, grid_mu = np.repeat(ps, len(mus)), np.tile(mus, len(ps))  # row order
-        evaluate = partial(_qfi_numeric, probe, kind, params=params)
-        cores = os.cpu_count() or 1
-        workers = min(jobs or cores, cores, points)
-        if workers > 1:
-            size = max(1, points // (workers * 8))
-            starts = range(0, points, size)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = pool.map(
-                    evaluate, [grid_p[i:i + size] for i in starts], [grid_mu[i:i + size] for i in starts]
-                )
-                columns.append(np.concatenate(list(parts)))
-        else:
-            columns.append(evaluate(grid_p, grid_mu))
+        columns.append(_qfi_numeric(probe, kind, grid_p, grid_mu, params))
     if "closed" in names:
         f = closed_form_qfi_grid(
             kind, ps[:, None], mus[None, :], probe.theta, probe.phi,
@@ -269,25 +248,18 @@ def evaluate_point(
     return run_point(probe, channel, (param,), method)
 
 
-def run_sweep(config: SweepConfig, jobs: int | None = 1) -> list[SweepRecord]:
-    """Evaluate the full (p, mu) grid in canonical row order.
+def run_sweep(config: SweepConfig) -> list[SweepRecord]:
+    """Evaluate the full (p, mu) grid in canonical row order, in this process.
 
-    Row order: p outer, mu inner, then param, then method.  ``jobs``
-    (default 1; None means all cores) must be >= 1 and bounds the process
-    pool of the sld rows; output is independent of it.
+    Row order: p outer, mu inner, then param, then method.
     """
     records = _rows(
         config.probe, config.kind, _grid(*config.p_grid), _grid(*config.mu_grid),
-        config.params, config.method, jobs,
+        config.params, config.method,
     )
     if config.out is not None:
         write_csv(records, config.out)
     return records
-
-
-def _check_jobs(jobs: int | None) -> None:
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
 
 class _Quoted(dict):
@@ -496,18 +468,17 @@ def figure(
     which: int,
     out_dir: str | Path,
     points: int | None = None,
-    jobs: int | None = 1,
 ) -> tuple[Path, Path]:
     """Emit the CSV + heatmap data behind one of the four reference figures.
 
     Figures 1-3: full (p, mu) grids for one channel kind and the Phi+ probe
     at (theta, phi) = (pi/8, pi/6) and (pi/8, pi/3).  Figure 4: mu sweeps at
     p = 0.3 for the EWL probe (r = 0.9, recorded in the CSV) with 2..5
-    qubits under the depolarizing, bit flip, and phase flip channels.
+    qubits under the depolarizing, bit flip, and phase flip channels.  It
+    runs in the calling process.
     """
     if points is not None and points < 2:
         raise ValueError(f"figure grids need at least 2 points per axis, got {points}")
-    _check_jobs(jobs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"fig{which}.csv"
@@ -523,7 +494,7 @@ def figure(
                 mu_grid=(0.0, 1.0, count),
                 method=Method.CLOSED,
             )
-            records.extend(run_sweep(config, jobs=jobs))
+            records.extend(run_sweep(config))
     elif which == 4:
         count = 21 if points is None else points
         theta, phi = _FIGURE_ANGLES[0]

@@ -10,12 +10,19 @@ from corrqfi.channels import (
     single_use_distribution,
     transfer_matrix,
 )
-from corrqfi.linalg import pauli
 from corrqfi.probes import Param, ProbeFamily, ProbeSpec, density, density_derivative
 
 SEED = 20250810
 
 ALL_KINDS = list(ChannelKind)
+
+# I, X, Y, Z: the oracle's own Pauli table
+PAULI = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 
 def random_state(rng, dim):
@@ -195,7 +202,7 @@ def string_sum(rho, kind, p, mu):
     for string, prob in joint_distribution(kind, p, mu, n).terms:
         op = np.ones((1, 1), dtype=complex)
         for i in string:
-            op = np.kron(op, pauli(i))
+            op = np.kron(op, PAULI[i])
         out += prob * (op @ rho @ op)
     return out
 
@@ -223,7 +230,7 @@ def test_single_flip_channels_are_exact_conjugations():
         for n in range(1, 7):
             op = np.ones((1, 1), dtype=complex)
             for _ in range(n):
-                op = np.kron(pauli(index), op)
+                op = np.kron(PAULI[index], op)
             rho = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
             for mu in (0.0, 0.5, 1.0):
                 got = apply_channel(rho, ChannelSpec(kind, 1.0, mu))

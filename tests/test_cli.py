@@ -283,6 +283,24 @@ def test_estimate_rejects_a_single_trial(capsys):
     assert "trials must be >= 2" in capsys.readouterr().err
 
 
+def test_jobs_does_not_change_output(tmp_path):
+    # --jobs is checked and otherwise ignored: every run uses one process
+    def outputs(jobs):
+        out = tmp_path / jobs
+        sweep = ["sweep", "--family", "ewl", "--n", "3", "--channel", "bitflip",
+                 "--grid-p", "0:1:3", "--grid-mu", "0:1:3", "--method", "both",
+                 "--jobs", jobs, "--out", str(out / "sweep.csv")]
+        out.mkdir()
+        assert main(sweep) == 0
+        assert main(["figure", "--which", "4", "--points", "3", "--jobs", jobs,
+                     "--out", str(out)]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    one = outputs("1")
+    assert sorted(one) == ["fig4.csv", "fig4_heatmap.txt", "sweep.csv"]
+    assert outputs("2") == one
+
+
 @pytest.mark.parametrize("jobs", ["0", "-5"])
 def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
     out_csv = tmp_path / "out.csv"

@@ -186,6 +186,27 @@ def test_odd_n_depolarizing_theta_reduction(n):
     assert f == pytest.approx(4 * r**2 * eta**2 / (r + (1 - r) * 2.0 ** (1 - n)), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "probe, error, message",
+    [
+        ({"family": ProbeFamily.EWL, "r": 1.5, "n_qubits": 3}, ValueError, "mixing ratio r"),
+        ({"r": 0.5}, ValueError, "pure"),
+        ({"n_qubits": 3}, ValueError, "two-qubit"),
+        ({"n_qubits": 1}, ValueError, "two-qubit"),
+        ({"n_qubits": 0}, ValueError, "two-qubit"),
+        ({"family": ProbeFamily.EWL, "n_qubits": 7}, ValueError, "2..6 qubits"),
+        ({"family": ProbeFamily.EWL, "n_qubits": 2.5}, TypeError, "n_qubits must be an integer"),
+    ],
+    ids=["ewl-r1.5", "phi+-r0.5", "phi+-n3", "phi+-n1", "phi+-n0", "ewl-n7", "ewl-n2.5"],
+)
+def test_one_point_calls_check_the_probe_as_probe_spec_does(probe, error, message):
+    channel = ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.5)
+    with pytest.raises(error, match=message):
+        closed_form_qfi(channel, 0.3, 0.2, Param.THETA, **probe)
+    with pytest.raises(error, match=message):
+        output_density(channel, 0.3, 0.2, **probe)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_flip_p_reflection_relabels_the_chain(n):
     # p -> 1 - p swaps I with the flip's Pauli: bit flip and bit-phase flip

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from corrqfi.linalg import MAX_DIM, eigh, pauli
+from corrqfi.linalg import MAX_DIM, eigh
 
 SEED = 20250810
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def random_hermitian(rng, n):
@@ -11,44 +14,13 @@ def random_hermitian(rng, n):
     return m + m.conj().T
 
 
-def test_pauli_identity():
-    np.testing.assert_array_equal(pauli(0), np.eye(2))
-
-
-def test_pauli_z():
-    np.testing.assert_array_equal(pauli(3), np.diag([1.0, -1.0]))
-
-
-def test_pauli_y():
-    np.testing.assert_array_equal(pauli(2), np.array([[0, -1j], [1j, 0]]))
-
-
-def test_pauli_x_hermitian_unitary():
-    for k in range(4):
-        s = pauli(k)
-        np.testing.assert_array_equal(s, s.conj().T)
-        np.testing.assert_allclose(s @ s, np.eye(2), atol=0)
-
-
-@pytest.mark.parametrize("bad", [-1, 4, 10])
-def test_pauli_out_of_range(bad):
-    with pytest.raises(ValueError):
-        pauli(bad)
-
-
-def test_pauli_returns_copy():
-    s = pauli(1)
-    s[0, 0] = 99.0
-    np.testing.assert_array_equal(pauli(1), np.array([[0, 1], [1, 0]]))
-
-
 def test_eigh_sigma_z():
-    w, _ = eigh(pauli(3))
+    w, _ = eigh(SIGMA_Z)
     np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
 
 
 def test_eigh_sigma_x_vectors():
-    w, v = eigh(pauli(1))
+    w, v = eigh(SIGMA_X)
     np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
     minus = np.array([1.0, -1.0]) / np.sqrt(2)
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -104,18 +76,25 @@ def test_eigh_random_reconstruction():
 
 
 def test_round_robin_schedule_covers_every_pair_once():
-    from corrqfi.linalg import _round_robin_pairs
+    from corrqfi.linalg import _round_indices
 
     for n in (2, 3, 4, 5, 8, 9, 16):
-        rounds = _round_robin_pairs(n)
-        seen = [pair for pairs in rounds for pair in pairs]
+        rounds = _round_indices(n)
+        seen = [pair for ps, qs, _ in rounds for pair in zip(ps.tolist(), qs.tolist())]
         assert len(seen) == len(set(seen)) == n * (n - 1) // 2
-        for pairs in rounds:
-            touched = [i for pair in pairs for i in pair]
+        assert all(p < q for p, q in seen)
+        for ps, qs, flat in rounds:
+            touched = [*ps.tolist(), *qs.tolist()]
             assert len(touched) == len(set(touched))
-        # Built once per dimension and immutable, so sharing it is safe.
-        assert _round_robin_pairs(n) is rounds
-        assert isinstance(rounds, tuple) and all(isinstance(p, tuple) for p in rounds)
+            np.testing.assert_array_equal(flat, ps * n + qs)
+            # Built once per dimension and read-only, so sharing it is safe.
+            assert not any(index.flags.writeable for index in (ps, qs, flat))
+        assert _round_indices(n) is rounds
+    # the circle-method order, which fixes the rotations' bits
+    order = [[tuple(pair) for pair in zip(ps.tolist(), qs.tolist())] for ps, qs, _ in _round_indices(4)]
+    assert order == [[(0, 3), (1, 2)], [(0, 2), (1, 3)], [(0, 1), (2, 3)]]
+    order = [[tuple(pair) for pair in zip(ps.tolist(), qs.tolist())] for ps, qs, _ in _round_indices(3)]
+    assert order == [[(1, 2)], [(0, 2)], [(0, 1)]]
 
 
 def test_eigh_trace_matches_eigenvalue_sum():
@@ -153,9 +132,9 @@ def test_eigh_stack_equals_one_matrix_eigh_bit_for_bit():
         stack = _mixed_stack(rng, n)
         w, v = _eigh_stack(stack)
         for k, h in enumerate(stack):
-            one = eigh(h)
-            assert w[k].tobytes() == one.eigenvalues.tobytes(), (n, k)
-            assert v[k].tobytes() == one.eigenvectors.tobytes(), (n, k)
+            w_one, v_one = eigh(h)
+            assert w[k].tobytes() == w_one.tobytes(), (n, k)
+            assert v[k].tobytes() == v_one.tobytes(), (n, k)
 
 
 def test_eigh_stack_matrices_converge_after_different_sweep_counts(monkeypatch):

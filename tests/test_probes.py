@@ -6,7 +6,6 @@ from corrqfi.probes import (
     Param,
     ProbeFamily,
     ProbeSpec,
-    bell_state_vector,
     density,
     density_derivative,
 )
@@ -17,34 +16,35 @@ FAMILIES = [ProbeFamily.PHI_PLUS, ProbeFamily.PHI_MINUS, ProbeFamily.PSI_PLUS,
             ProbeFamily.PSI_MINUS, ProbeFamily.EWL]
 
 
+def projector(v):
+    return np.outer(v, np.conj(v))
+
+
 def test_phi_plus_at_zero_is_00():
-    v = bell_state_vector(ProbeSpec(ProbeFamily.PHI_PLUS, 0.0, 0.3))
-    np.testing.assert_allclose(v, [1, 0, 0, 0], atol=0)
+    rho = density(ProbeSpec(ProbeFamily.PHI_PLUS, 0.0, 0.3))
+    np.testing.assert_allclose(rho, projector([1, 0, 0, 0]), atol=0)
 
 
 def test_phi_plus_balanced():
-    v = bell_state_vector(ProbeSpec(ProbeFamily.PHI_PLUS, np.pi / 4, 0.0))
-    np.testing.assert_allclose(v, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-15)
+    rho = density(ProbeSpec(ProbeFamily.PHI_PLUS, np.pi / 4, 0.0))
+    np.testing.assert_allclose(rho, projector(np.array([1, 0, 0, 1]) / np.sqrt(2)), atol=1e-15)
 
 
 def test_psi_minus_direct_substitution():
-    v = bell_state_vector(ProbeSpec(ProbeFamily.PSI_MINUS, np.pi / 8, np.pi / 6))
+    rho = density(ProbeSpec(ProbeFamily.PSI_MINUS, np.pi / 8, np.pi / 6))
     expected = np.zeros(4, dtype=complex)
     expected[1] = np.cos(np.pi / 8)
     expected[2] = -np.exp(1j * np.pi / 6) * np.sin(np.pi / 8)
-    np.testing.assert_allclose(v, expected, atol=1e-15)
+    np.testing.assert_allclose(rho, projector(expected), atol=1e-15)
 
 
 def test_bell_vector_unit_norm():
+    # a unit vector's projector has unit trace and squares to itself
     rng = np.random.default_rng(SEED)
     for family in FAMILIES[:4]:
-        spec = ProbeSpec(family, rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-        assert np.linalg.norm(bell_state_vector(spec)) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_bell_vector_rejects_ewl():
-    with pytest.raises(ValueError):
-        bell_state_vector(ProbeSpec(ProbeFamily.EWL, 0.1, 0.2))
+        rho = density(ProbeSpec(family, rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)))
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(rho @ rho, rho, atol=1e-14)
 
 
 def test_ewl_r1_equals_phi_plus_density():
@@ -153,6 +153,20 @@ def test_spec_validation():
         ProbeSpec(ProbeFamily.EWL, 0.1, 0.2, r=1.5)
     with pytest.raises(ValueError):
         ProbeSpec(ProbeFamily.PHI_PLUS, np.nan, 0.2)
+
+
+@pytest.mark.parametrize(
+    "family, n_qubits", [(ProbeFamily.EWL, 2.5), (ProbeFamily.EWL, 3.0), (ProbeFamily.PHI_PLUS, 2.0)]
+)
+def test_n_qubits_must_be_an_integer(family, n_qubits):
+    with pytest.raises(TypeError, match="n_qubits must be an integer"):
+        ProbeSpec(family, 0.1, 0.2, n_qubits=n_qubits)
+
+
+def test_n_qubits_accepts_numpy_integers():
+    spec = ProbeSpec(ProbeFamily.EWL, 0.1, 0.2, n_qubits=np.int64(3))
+    assert type(spec.n_qubits) is int and spec.n_qubits == 3
+    assert density(spec).shape == (8, 8)
 
 
 def test_family_accepts_plain_strings():

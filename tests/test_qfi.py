@@ -8,9 +8,9 @@ from corrqfi.channels import ChannelKind, ChannelSpec, apply_channel
 from corrqfi.closed_form import closed_form_qfi
 from corrqfi.probes import Param, ProbeFamily, ProbeSpec, density, density_derivative
 from corrqfi.qfi import (
+    SUPPORT_TOL,
     _qfi_from_eigensystem,
     _qfi_numeric,
-    build_sld,
     cramer_rao_bound,
     qfi_numeric,
     qfi_numeric_fd,
@@ -22,6 +22,19 @@ SEED = 20250810
 
 def phi_plus(theta=np.pi / 8, phi=np.pi / 6):
     return ProbeSpec(ProbeFamily.PHI_PLUS, theta, phi)
+
+
+def build_sld(rho, d_rho):
+    """SLD L with d_rho = (L rho + rho L)/2, zero outside the support.
+
+    The minimal-norm completion, built on numpy's LAPACK eigensystem, so
+    Tr(L^2 rho) is an oracle for qfi_sld.
+    """
+    w, v = np.linalg.eigh(rho)
+    t = v.conj().T @ d_rho @ v
+    denom = w[:, None] + w[None, :]
+    safe = np.where(denom > SUPPORT_TOL, denom, np.inf)  # excluded pairs -> 0
+    return v @ (2.0 * t / safe) @ v.conj().T
 
 
 def test_pure_state_theta_qfi_is_4():

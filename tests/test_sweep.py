@@ -127,7 +127,7 @@ def test_point_rows_equal_sweep_and_figure_rows(tmp_path):
         for row in run_point(config.probe, ChannelSpec(config.kind, p, mu), config.params,
                              Method.BOTH)
     ]
-    assert point_rows == run_sweep(config, jobs=1)
+    assert point_rows == run_sweep(config)
 
     csv_path, _ = figure(4, tmp_path, points=3)
     figure_rows = [r for r in read_csv(csv_path) if (r.channel, r.n) == ("bitflip", 3)]
@@ -171,7 +171,7 @@ def test_default_method_resolution():
 
 def test_sweep_row_count_and_order(tmp_path):
     config = small_config(tmp_path)
-    records = run_sweep(config, jobs=1)
+    records = run_sweep(config)
     # count x count points, 2 params, 2 methods
     assert len(records) == 3 * 3 * 2 * 2
     keys = [(r.p, r.mu, r.param, r.method) for r in records]
@@ -187,104 +187,43 @@ def test_sweep_row_count_and_order(tmp_path):
 
 def test_sweep_csv_deterministic(tmp_path):
     config_a = small_config(tmp_path)
-    run_sweep(config_a, jobs=1)
+    run_sweep(config_a)
     first = (tmp_path / "sweep.csv").read_bytes()
-    run_sweep(config_a, jobs=1)
+    run_sweep(config_a)
     second = (tmp_path / "sweep.csv").read_bytes()
     assert first == second
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    serial = small_config(tmp_path)
-    run_sweep(serial, jobs=1)
-    first = (tmp_path / "sweep.csv").read_bytes()
-    run_sweep(serial, jobs=2)
-    second = (tmp_path / "sweep.csv").read_bytes()
-    assert first == second
+@pytest.fixture
+def no_child_processes(monkeypatch):
+    """Fail the test at any attempt to start a child process."""
+    import multiprocessing.process
+
+    def start(self):
+        raise AssertionError(f"started a child process: {self!r}")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
 
 
-@pytest.mark.parametrize("jobs", [0, -5])
-def test_sweep_rejects_jobs_below_one(tmp_path, jobs):
-    with pytest.raises(ValueError, match="jobs must be >= 1"):
-        run_sweep(small_config(tmp_path), jobs=jobs)
-    assert not (tmp_path / "sweep.csv").exists()
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
-
-
-@pytest.mark.parametrize(
-    "jobs, count, cores, workers",
-    [
-        (64, 2, 3, 3),  # capped by the cores
-        (64, 2, 8, 4),  # capped by the 2 x 2 grid points
-        (2, 3, 8, 2),  # capped by jobs
-        (None, 3, 3, 3),  # default: all cores
-        (1, 3, 8, None),  # one worker runs serially, no pool
-        (None, 3, 1, None),
-    ],
-)
-def test_sweep_pool_size_is_bounded(tmp_path, monkeypatch, jobs, count, cores, workers):
-    import corrqfi.sweep
-
-    RecordingPool.sizes = []
-    monkeypatch.setattr(corrqfi.sweep, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(corrqfi.sweep.os, "cpu_count", lambda: cores)
-    config = small_config(tmp_path, count=count)
-    records = run_sweep(config, jobs=jobs)
-    assert RecordingPool.sizes == ([] if workers is None else [workers])
-    assert len(records) == count * count * 2 * 2
-
-
-def test_sweeps_default_to_one_process(tmp_path, monkeypatch):
-    # pool workers each start their own BLAS threads on the same cores, so a
-    # sweep pools only when asked to
-    import corrqfi.sweep
+def test_sweeps_default_to_one_process(tmp_path, no_child_processes):
+    # pool workers would each start their own BLAS threads on the same
+    # cores, so every sweep runs in the calling process, whatever --jobs says
     from corrqfi.cli import main
 
-    RecordingPool.sizes = []
-    monkeypatch.setattr(corrqfi.sweep, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(corrqfi.sweep.os, "cpu_count", lambda: 8)
-    run_sweep(small_config(tmp_path))
+    run_sweep(small_config(tmp_path, method=Method.SLD, count=5))
     assert main(["sweep", "--channel", "phaseflip", "--grid-p", "0:1:3", "--grid-mu", "0:1:3",
-                 "--out", str(tmp_path / "cli.csv")]) == 0
-    assert RecordingPool.sizes == []
-    run_sweep(small_config(tmp_path), jobs=None)
-    assert RecordingPool.sizes == [8]
+                 "--jobs", "8", "--out", str(tmp_path / "cli.csv")]) == 0
 
 
 @pytest.mark.parametrize("which", [1, 2, 3, 4])
-def test_figures_and_closed_sweeps_start_no_pool(tmp_path, monkeypatch, which):
-    # closed rows come from one kernel call and figure 4 runs serially, so
-    # only the sld rows of a sweep may use worker processes
-    import corrqfi.sweep
-
-    RecordingPool.sizes = []
-    monkeypatch.setattr(corrqfi.sweep, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(corrqfi.sweep.os, "cpu_count", lambda: 8)
-    figure(which, tmp_path, points=3, jobs=8)
-    run_sweep(small_config(tmp_path, method=Method.CLOSED), jobs=8)
-    assert RecordingPool.sizes == []
+def test_figures_and_closed_sweeps_start_no_pool(tmp_path, no_child_processes, which):
+    figure(which, tmp_path, points=3)
+    run_sweep(small_config(tmp_path, method=Method.CLOSED))
 
 
 def test_csv_header_schema(tmp_path):
     config = small_config(tmp_path)
-    records = run_sweep(config, jobs=1)
+    records = run_sweep(config)
     with open(tmp_path / "sweep.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == list(CSV_HEADER)
@@ -337,7 +276,7 @@ def test_write_csv_round_trips_carriage_returns(tmp_path):
 
 
 def test_sweep_qfi_within_sanity_bounds(tmp_path):
-    records = run_sweep(small_config(tmp_path, kind=ChannelKind.DEPOLARIZING), jobs=1)
+    records = run_sweep(small_config(tmp_path, kind=ChannelKind.DEPOLARIZING))
     for rec in records:
         assert -1e-10 <= rec.qfi <= 4.0 * rec.n
 
@@ -394,7 +333,7 @@ def test_row_checks_name_the_first_offender(tmp_path, monkeypatch, case):
     monkeypatch.setattr(corrqfi.sweep, "closed_form_qfi_grid", planted)
     config = small_config(tmp_path, kind=ChannelKind.DEPOLARIZING, method=method)
     with pytest.raises(error) as excinfo:
-        run_sweep(config, jobs=1)
+        run_sweep(config)
     assert str(excinfo.value) == message
     assert not (tmp_path / "sweep.csv").exists()
 
@@ -573,7 +512,7 @@ def test_heatmap_scaling_extremes():
 
 def test_heatmap_gnuplot_blocks(tmp_path):
     config = small_config(tmp_path, method=Method.SLD)
-    text = render_heatmap(run_sweep(config, jobs=1))
+    text = render_heatmap(run_sweep(config))
     sections = _split_heatmap(text)
     assert len(sections) == 2  # one per param
     for data, shades in sections:
